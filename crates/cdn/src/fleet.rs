@@ -524,7 +524,8 @@ impl FleetShard {
     }
 
     /// Global fleet indices of the shard's servers, ascending — the same
-    /// order [`CdnFleet::pop_members`] reports for this PoP.
+    /// order [`CdnFleet::pop_members`] reports for this PoP. For a
+    /// whole-PoP shard this is the PoP's failover order.
     pub fn members(&self) -> &[usize] {
         &self.server_indices
     }
@@ -538,60 +539,6 @@ impl FleetShard {
                     self.pop_index
                 )
             })
-    }
-}
-
-/// Mutable access to servers plus same-PoP membership — the interface the
-/// session step drives, implemented by both the whole [`CdnFleet`]
-/// (sequential engine) and one [`FleetShard`] (sharded engine).
-///
-/// Failover never leaves the session's PoP, and both implementations
-/// expose a PoP's members in the same ascending global-index order, so
-/// retry/failover decisions are bit-identical in both engines — that is
-/// the fault layer's thread-invariance argument.
-pub trait ServerPool {
-    /// Mutable server by global fleet index.
-    fn pool_server_mut(&mut self, global_idx: usize) -> &mut CdnServer;
-
-    /// Shared server by global fleet index.
-    fn pool_server(&self, global_idx: usize) -> &CdnServer;
-
-    /// Global indices of a PoP's member servers, ascending.
-    fn pop_members(&self, pop_index: usize) -> &[usize];
-}
-
-impl ServerPool for CdnFleet {
-    fn pool_server_mut(&mut self, global_idx: usize) -> &mut CdnServer {
-        self.server_mut(global_idx)
-    }
-
-    fn pool_server(&self, global_idx: usize) -> &CdnServer {
-        &self.servers[global_idx]
-    }
-
-    fn pop_members(&self, pop_index: usize) -> &[usize] {
-        CdnFleet::pop_members(self, pop_index)
-    }
-}
-
-impl ServerPool for FleetShard {
-    fn pool_server_mut(&mut self, global_idx: usize) -> &mut CdnServer {
-        self.server_mut(global_idx)
-    }
-
-    fn pool_server(&self, global_idx: usize) -> &CdnServer {
-        self.server(global_idx)
-    }
-
-    fn pop_members(&self, pop_index: usize) -> &[usize] {
-        assert_eq!(
-            pop_index, self.pop_index,
-            "cross-PoP membership query on a shard"
-        );
-        // Failover consults this, and failover only fires under faults
-        // that force the session's PoP into one whole-PoP (coarse) shard —
-        // so when it is consulted, the list is the full PoP membership.
-        &self.server_indices
     }
 }
 
@@ -974,9 +921,9 @@ mod tests {
         let shards = f.split_shards();
         for shard in &shards {
             assert_eq!(
-                ServerPool::pop_members(shard, shard.pop_index()),
+                shard.members(),
                 &fleet_members[shard.pop_index()][..],
-                "failover order must match between engines"
+                "a whole-PoP shard's failover order must match the fleet's"
             );
         }
         f.merge_shards(shards);

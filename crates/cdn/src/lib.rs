@@ -32,5 +32,5 @@ pub use cache::{
     AdmissionPolicy, ByteCache, EvictionPolicy, ObjectKey, TieredCache, TieredCacheConfig,
     MANIFEST_BYTES,
 };
-pub use fleet::{CdnFleet, FleetConfig, FleetShard, PrefetchPolicy, ServerPool};
+pub use fleet::{CdnFleet, FleetConfig, FleetShard, PrefetchPolicy};
 pub use server::{CdnServer, ServerConfig};

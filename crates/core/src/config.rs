@@ -24,9 +24,9 @@ pub enum Scale {
 
 /// Out-of-core telemetry: when set, each shard's `TelemetrySink` seals a
 /// sorted columnar segment into `dir` and resets whenever its arenas reach
-/// `threshold` rows, so peak RSS stays flat in chunk volume and
-/// `Dataset::assemble` streams a k-way merge over the segments instead of
-/// joining in RAM. Inert (`None`) by default; output is byte-identical
+/// `threshold` rows, so peak RSS stays flat in chunk volume and the join
+/// (`Dataset::assemble`'s k-way merge) reads the segments back a row
+/// group at a time. Inert (`None`) by default; output is byte-identical
 /// either way at any thread count.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpillConfig {
@@ -77,15 +77,15 @@ pub struct SimulationConfig {
     /// layer. Loaded from a JSON file via the CLI's `--faults` flag or
     /// set programmatically.
     pub faults: FaultScenario,
-    /// Worker threads for the event loop. `1` runs the sequential
-    /// reference engine; `>1` runs one event loop per fleet shard —
-    /// per *server* wherever the fault scenario cannot reject requests
-    /// (no failover possible there), per PoP where it can — across this
-    /// many workers with work stealing, so idle workers drain the tail
-    /// of a skewed PoP. Output is bit-identical at every thread count
-    /// (sessions never touch servers outside their shard, and results
-    /// merge in canonical shard order), so this is purely a wall-clock
-    /// knob.
+    /// Worker threads for the event loop. The engine runs one event
+    /// loop per fleet shard — per *server* wherever the fault scenario
+    /// cannot reject requests (no failover possible there), per PoP
+    /// where it can — across this many workers with work stealing, so
+    /// idle workers drain the tail of a skewed PoP; `1` is one worker
+    /// taking every shard in turn. Output is bit-identical at every
+    /// thread count (sessions never touch servers outside their shard,
+    /// and the join orders records by session and chunk id), so this is
+    /// purely a wall-clock knob.
     pub threads: usize,
     /// Shard watchdog deadline, wall-clock milliseconds; `0` disables
     /// the watchdog. With a deadline set, a shard (a server's — or,

@@ -1,4 +1,4 @@
-//! Work-stealing job scheduler for the sharded engine.
+//! Work-stealing job scheduler for the engine's shard jobs.
 //!
 //! The engine's shard jobs are coarse, independent and of wildly uneven
 //! size (one PoP can hold most of a day's sessions). A fixed round-robin
@@ -33,7 +33,7 @@ use streamlab_obs::SchedulerCounters;
 /// least this much estimated work.
 pub const MIN_COST_PER_WORKER: u64 = 16_384;
 
-/// The worker count the sharded engine should actually spin up: the
+/// The worker count the engine should actually spin up: the
 /// requested `threads`, capped by the job count and by the
 /// [`MIN_COST_PER_WORKER`] floor on estimated per-worker work.
 ///

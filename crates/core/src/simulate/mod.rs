@@ -2,21 +2,18 @@
 //! in time order over the CDN fleet, producing the joined telemetry
 //! dataset.
 //!
-//! Two engines share the per-session state machine:
-//!
-//! * **Sequential** (`threads == 1`): one global [`EventQueue`] over every
-//!   session — the reference implementation.
-//! * **Sharded** (`threads > 1`): the fleet is split into
-//!   [`FleetShard`]s — one **per server** wherever the active fault
-//!   scenario cannot make requests fail (so no session can ever fail
-//!   over off its server), falling back to one per PoP where it can —
-//!   sessions are partitioned by the shard owning their assigned server,
-//!   and one independent event loop runs per shard across a
-//!   work-stealing thread pool ([`crate::scheduler::WorkQueue`]).
-//!   Because a session only ever touches servers inside its own shard
-//!   and the telemetry join canonicalizes by session id, the merged
-//!   output is **bit-identical** to the sequential engine at any thread
-//!   count. See DESIGN.md for the full argument.
+//! One engine runs every run: the fleet is split into [`FleetShard`]s —
+//! one **per server** wherever the active fault scenario cannot make
+//! requests fail (so no session can ever fail over off its server),
+//! falling back to one per PoP where it can — sessions are partitioned by
+//! the shard owning their assigned server, and one independent event loop
+//! runs per shard across a work-stealing thread pool
+//! ([`crate::scheduler::WorkQueue`]) of `threads` workers. Each shard
+//! keeps its own telemetry sink; the join merges the sinks by session and
+//! chunk id. Because a session only ever touches servers inside its own
+//! shard, the output is **bit-identical** at any thread count, and to one
+//! global event queue over every session (this module's test oracle).
+//! See DESIGN.md for the full argument.
 
 use crate::config::SimulationConfig;
 use crate::scheduler::{effective_workers, StealEvent, WorkQueue};
@@ -34,7 +31,7 @@ use streamlab_obs::{
 use streamlab_sim::{EventQueue, RngStream, SimTime};
 use streamlab_supervisor::watchdog::{self, WatchdogConfig};
 use streamlab_supervisor::{ambient_storage, Storage};
-use streamlab_telemetry::{Dataset, SpillSpec, TelemetrySink};
+use streamlab_telemetry::{Dataset, SessionStream, SpillSpec, TelemetrySink};
 use streamlab_workload::{Catalog, Population, SessionGenerator, SessionSpec};
 
 /// Errors surfaced by a run.
@@ -247,7 +244,7 @@ pub struct RunOutput {
     /// steal instants, watchdog heartbeat counters. `None` unless the run
     /// was observed; inherently non-deterministic.
     pub wall_trace: Option<WallTrace>,
-    /// Shards whose worker panicked (sharded engine only). Their sessions
+    /// Shards whose worker panicked or stalled. Their sessions
     /// are missing from the dataset; everything else is intact. Empty on
     /// a healthy run.
     pub shard_errors: Vec<ShardError>,
@@ -271,15 +268,15 @@ pub struct RunOutput {
 /// errors, segment manifest) is materialized as usual since those are
 /// small.
 pub struct StreamOutput {
-    /// Joined sessions in ascending session-id order, assembled
-    /// incrementally from the spill segments (or from RAM when the run
-    /// never spilled). Consume once.
+    /// Joined sessions in ascending session-id order, merged
+    /// incrementally from the shard sinks' spill segments and in-RAM
+    /// arenas. Consume once.
     pub stream: streamlab_telemetry::SessionStream,
     /// Per-server aggregates.
     pub servers: Vec<ServerReport>,
     /// Self-telemetry; `None` for plain streaming runs.
     pub metrics: Option<RunMetrics>,
-    /// Shards whose worker panicked (sharded engine only).
+    /// Shards whose worker panicked or stalled.
     pub shard_errors: Vec<ShardError>,
     /// Manifest of the sealed spill segments backing the stream.
     pub segments: Vec<streamlab_telemetry::SegmentMeta>,
@@ -419,7 +416,7 @@ impl Simulation {
     /// bounded-memory stream instead of a materialized dataset — the
     /// out-of-core path for runs too large to hold in RAM. Pair with
     /// [`crate::config::SimulationConfig::spill`]; without spill the
-    /// "stream" is just the in-RAM dataset behind an iterator.
+    /// stream merges the shard sinks held in RAM.
     pub fn run_streaming(self) -> Result<StreamOutput, SimError> {
         match self.run_inner(None, None, true)? {
             InnerOutput::Streaming(o) => Ok(*o),
@@ -476,98 +473,25 @@ impl Simulation {
         };
         let spill = spill.as_ref();
         let cfg = &self.cfg;
-        let seed = cfg.seed;
         let setup_started = Instant::now();
-
-        // --- world generation ---
-        let mut cat_rng = RngStream::new(seed, "catalog");
-        let catalog = Catalog::generate(&cfg.catalog, &mut cat_rng);
-        let mut pop_rng = RngStream::new(seed, "population");
-        let population = Population::generate(&cfg.population, &mut pop_rng);
-        // Traffic varies by day; the world (catalog/population/fleet) does
-        // not — the §4.2.1 recurrence analysis re-observes the same
-        // deployment on successive days.
-        let specs = match specs_override {
-            Some(specs) => {
-                for s in &specs {
-                    if s.video.raw() as usize >= catalog.len() {
-                        return Err(SimError::InvalidTrace(format!(
-                            "{} watches {} but the catalog has {} videos",
-                            s.id,
-                            s.video,
-                            catalog.len()
-                        )));
-                    }
-                    if s.client.prefix.raw() as usize >= population.prefixes().len() {
-                        return Err(SimError::InvalidTrace(format!(
-                            "{} comes from {} but the population has {} prefixes",
-                            s.id,
-                            s.client.prefix,
-                            population.prefixes().len()
-                        )));
-                    }
-                }
-                specs
-            }
-            None => {
-                let mut sess_rng = RngStream::new(seed, &format!("sessions-day{}", cfg.day));
-                SessionGenerator::new(&catalog, &population).generate(&cfg.traffic, &mut sess_rng)
-            }
-        };
-
-        let mut fleet = CdnFleet::new(cfg.fleet.clone(), seed);
-        fleet.warm_parallel(&catalog, cfg.threads.max(1));
-        fleet.install_faults(&cfg.faults);
-        // Harness faults: shard jobs covering these PoPs/servers panic at
-        // start (or wedge, for the stall variants). Only meaningful for
-        // the sharded engine; the sequential engine has no shard workers
-        // to isolate and ignores them.
-        let harness = HarnessFaults::from_scenario(&cfg.faults);
-        if cfg.threads > 1 && harness.wants_stall() && cfg.shard_deadline_ms == 0 {
-            return Err(SimError::Config(
-                "stall faults wedge shard workers forever unless a watchdog can cancel them; \
-                 set shard_deadline_ms (CLI: --shard-deadline)"
-                    .into(),
-            ));
-        }
-        let coarse = coarse_pop_plan(&fleet, &cfg.faults, &harness);
-
-        // --- per-session runtimes ---
-        let session_master = RngStream::new(seed, &format!("session-streams-day{}", cfg.day));
-        let runtimes = build_runtimes(
-            specs,
-            cfg,
-            &session_master,
-            &catalog,
-            &population,
-            &fleet,
-            cfg.threads.max(1),
-        );
-
+        let Setup {
+            catalog,
+            population,
+            mut fleet,
+            runtimes,
+            harness,
+            coarse,
+        } = Setup::build(cfg, specs_override)?;
         let setup_ms = setup_started.elapsed().as_secs_f64() * 1.0e3;
         let loop_started = Instant::now();
 
         // --- the event loop: one event per chunk request ---
-        // Four paths: {sequential, sharded} × {instrumented, noop}. The
-        // noop paths drive the same generic engines with
+        // The unobserved run drives the same generic engine with
         // [`NoopSubscriber`], which monomorphizes the probes away.
-        let (sink, recorder, shard_profiles, loop_stats, shard_errors, engine_wall) = match obs {
-            Some(o) if cfg.threads <= 1 => {
-                let mut rec = MetricsRecorder::with_options(o.trace, o.spans);
-                let (sink, stats) =
-                    run_sequential(&mut fleet, runtimes, &catalog, &population, spill, &mut rec);
-                rec.add_events_processed(stats.events);
-                (
-                    sink,
-                    Some(rec),
-                    Vec::new(),
-                    stats,
-                    Vec::new(),
-                    EngineWall::default(),
-                )
-            }
+        let (engine, recorder) = match obs {
             Some(o) => {
-                let (sink, runs, errors, wall) = run_sharded(
+                let new_recorder = || MetricsRecorder::with_options(o.trace, o.spans);
+                let (engine, subs) = run_sharded(
                     cfg.threads,
                     &mut fleet,
                     runtimes,
@@ -578,87 +502,13 @@ impl Simulation {
                     cfg.shard_deadline_ms,
                     loop_started,
                     spill,
-                    || MetricsRecorder::with_options(o.trace, o.spans),
+                    new_recorder,
                 );
-                // Fold shard recorders in canonical (shard_index) order —
-                // the commutative merges make SimMetrics byte-identical
-                // to the sequential engine's regardless.
-                let mut rec = MetricsRecorder::with_options(o.trace, o.spans);
-                let mut profiles = Vec::with_capacity(runs.len());
-                let mut total = EngineStats::default();
-                for run in runs {
-                    total.events += run.stats.events;
-                    total.peak_queue = total.peak_queue.max(run.stats.peak_queue);
-                    profiles.push(ShardProfile {
-                        shard_index: run.shard_index as u64,
-                        pop_index: run.pop_index as u64,
-                        first_server: run.first_server as u64,
-                        servers: run.n_servers as u64,
-                        sessions: run.sessions,
-                        events: run.stats.events,
-                        peak_queue_depth: run.stats.peak_queue as u64,
-                        wall_ms: run.wall_ms,
-                        worker: run.worker as u64,
-                        start_ms: run.start_ms,
-                    });
-                    rec.absorb(run.sub);
-                }
-                rec.add_events_processed(total.events);
-                // Engine-topology events land after the per-shard streams;
-                // they never touch SimMetrics (threads-invariance).
-                for p in &profiles {
-                    rec.on_shard_merge(
-                        &Meta::fleet(SimTime::ZERO),
-                        &ShardMerge {
-                            shard_index: p.shard_index,
-                            pop_index: p.pop_index,
-                            sessions: p.sessions,
-                            events: p.events,
-                        },
-                    );
-                }
-                for e in &errors {
-                    if let ShardError::Stalled {
-                        shard_index,
-                        pop_index,
-                        events,
-                        sim_ns,
-                        ..
-                    } = e
-                    {
-                        rec.on_shard_stalled(
-                            &Meta::fleet(SimTime::ZERO),
-                            &ShardStalled {
-                                shard_index: *shard_index as u64,
-                                pop_index: *pop_index as u64,
-                                events: *events,
-                                sim_ns: *sim_ns,
-                            },
-                        );
-                    }
-                }
-                (sink, Some(rec), profiles, total, errors, wall)
-            }
-            None if cfg.threads <= 1 => {
-                let (sink, stats) = run_sequential(
-                    &mut fleet,
-                    runtimes,
-                    &catalog,
-                    &population,
-                    spill,
-                    &mut NoopSubscriber,
-                );
-                (
-                    sink,
-                    None,
-                    Vec::new(),
-                    stats,
-                    Vec::new(),
-                    EngineWall::default(),
-                )
+                let rec = fold_recorders(new_recorder(), subs, &engine);
+                (engine, Some(rec))
             }
             None => {
-                let (sink, runs, errors, _) = run_sharded(
+                let (engine, _) = run_sharded(
                     cfg.threads,
                     &mut fleet,
                     runtimes,
@@ -671,14 +521,16 @@ impl Simulation {
                     spill,
                     || NoopSubscriber,
                 );
-                let mut total = EngineStats::default();
-                for run in &runs {
-                    total.events += run.stats.events;
-                    total.peak_queue = total.peak_queue.max(run.stats.peak_queue);
-                }
-                (sink, None, Vec::new(), total, errors, EngineWall::default())
+                (engine, None)
             }
         };
+        let EngineOutput {
+            sinks,
+            shards: shard_profiles,
+            stats: loop_stats,
+            errors: shard_errors,
+            wall: engine_wall,
+        } = engine;
 
         let event_loop_ms = loop_started.elapsed().as_secs_f64() * 1.0e3;
         let merge_started = Instant::now();
@@ -687,44 +539,24 @@ impl Simulation {
         // A spill failure degrades (that shard finished in RAM) rather
         // than failing the run; surface it so out-of-core users know the
         // RSS bound did not hold.
-        for e in sink.spill_errors() {
+        for e in sinks.iter().flat_map(|s| s.spill_errors()) {
             eprintln!("warning: telemetry spill degraded to in-RAM: {e}");
         }
-        let segments = sink.sealed_segments().to_vec();
-        // Streaming runs defer the join: the sink becomes a k-way merge
-        // iterator and the full dataset is never materialized.
+        let segments: Vec<streamlab_telemetry::SegmentMeta> = sinks
+            .iter()
+            .flat_map(|s| s.sealed_segments())
+            .cloned()
+            .collect();
+        // Streaming runs defer the join: the shard sinks become a k-way
+        // merge iterator and the full dataset is never materialized.
         let (dataset, raw_sessions, stream) = if streaming {
-            (
-                None,
-                0usize,
-                Some(streamlab_telemetry::SessionStream::new(sink)),
-            )
+            (None, 0usize, Some(SessionStream::new(sinks)))
         } else {
-            let dataset = Dataset::join(sink).map_err(SimError::Join)?;
+            let dataset = Dataset::assemble(sinks).map_err(SimError::Join)?;
             let raw_sessions = dataset.raw_sessions;
             (Some(dataset.filter_proxies()), raw_sessions, None)
         };
-
-        let servers: Vec<ServerReport> = fleet
-            .servers()
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let st = s.stats();
-                ServerReport {
-                    server: i,
-                    metro: fleet.pop_of(i).metro.to_owned(),
-                    requests: st.requests,
-                    miss_ratio: st.miss_ratio(),
-                    mean_latency_ms: st.mean_latency_ms(),
-                    retry_ratio: if st.requests == 0 {
-                        0.0
-                    } else {
-                        st.retry_fired as f64 / st.requests as f64
-                    },
-                }
-            })
-            .collect();
+        let servers = server_reports(&fleet);
         let merge_ms = merge_started.elapsed().as_secs_f64() * 1.0e3;
 
         let (metrics, trace_lines, sim_spans, wall_trace) = match recorder {
@@ -740,11 +572,6 @@ impl Simulation {
                 fold_cache_churn(&mut sim, &fleet);
                 let events = sim.events_processed.get();
                 let profile = RunProfile {
-                    engine: if cfg.threads <= 1 {
-                        "sequential".to_owned()
-                    } else {
-                        "sharded".to_owned()
-                    },
                     threads: cfg.threads.max(1) as u64,
                     setup_ms,
                     event_loop_ms,
@@ -791,6 +618,121 @@ impl Simulation {
             })),
         })
     }
+}
+
+/// The world and per-session state a run's event loop starts from.
+struct Setup {
+    catalog: Catalog,
+    population: Population,
+    /// Warmed, with the scenario's faults installed.
+    fleet: CdnFleet,
+    runtimes: Vec<SessionRuntime>,
+    harness: HarnessFaults,
+    /// Per PoP: keep its servers in one shard ([`coarse_pop_plan`]).
+    coarse: Vec<bool>,
+}
+
+impl Setup {
+    fn build(
+        cfg: &SimulationConfig,
+        specs_override: Option<Vec<SessionSpec>>,
+    ) -> Result<Setup, SimError> {
+        let seed = cfg.seed;
+        // --- world generation ---
+        let mut cat_rng = RngStream::new(seed, "catalog");
+        let catalog = Catalog::generate(&cfg.catalog, &mut cat_rng);
+        let mut pop_rng = RngStream::new(seed, "population");
+        let population = Population::generate(&cfg.population, &mut pop_rng);
+        // Traffic varies by day; the world (catalog/population/fleet) does
+        // not — the §4.2.1 recurrence analysis re-observes the same
+        // deployment on successive days.
+        let specs = match specs_override {
+            Some(specs) => {
+                for s in &specs {
+                    if s.video.raw() as usize >= catalog.len() {
+                        return Err(SimError::InvalidTrace(format!(
+                            "{} watches {} but the catalog has {} videos",
+                            s.id,
+                            s.video,
+                            catalog.len()
+                        )));
+                    }
+                    if s.client.prefix.raw() as usize >= population.prefixes().len() {
+                        return Err(SimError::InvalidTrace(format!(
+                            "{} comes from {} but the population has {} prefixes",
+                            s.id,
+                            s.client.prefix,
+                            population.prefixes().len()
+                        )));
+                    }
+                }
+                specs
+            }
+            None => {
+                let mut sess_rng = RngStream::new(seed, &format!("sessions-day{}", cfg.day));
+                SessionGenerator::new(&catalog, &population).generate(&cfg.traffic, &mut sess_rng)
+            }
+        };
+
+        let mut fleet = CdnFleet::new(cfg.fleet.clone(), seed);
+        fleet.warm_parallel(&catalog, cfg.threads.max(1));
+        fleet.install_faults(&cfg.faults);
+        // Harness faults: shard jobs covering these PoPs/servers panic at
+        // start (or wedge, for the stall variants).
+        let harness = HarnessFaults::from_scenario(&cfg.faults);
+        if harness.wants_stall() && cfg.shard_deadline_ms == 0 {
+            return Err(SimError::Config(
+                "stall faults wedge shard workers forever unless a watchdog can cancel them; \
+                 set shard_deadline_ms (CLI: --shard-deadline)"
+                    .into(),
+            ));
+        }
+        let coarse = coarse_pop_plan(&fleet, &cfg.faults, &harness);
+
+        // --- per-session runtimes ---
+        let session_master = RngStream::new(seed, &format!("session-streams-day{}", cfg.day));
+        let runtimes = build_runtimes(
+            specs,
+            cfg,
+            &session_master,
+            &catalog,
+            &population,
+            &fleet,
+            cfg.threads.max(1),
+        );
+        Ok(Setup {
+            catalog,
+            population,
+            fleet,
+            runtimes,
+            harness,
+            coarse,
+        })
+    }
+}
+
+/// Per-server aggregates, in fleet order.
+fn server_reports(fleet: &CdnFleet) -> Vec<ServerReport> {
+    fleet
+        .servers()
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let st = s.stats();
+            ServerReport {
+                server: i,
+                metro: fleet.pop_of(i).metro.to_owned(),
+                requests: st.requests,
+                miss_ratio: st.miss_ratio(),
+                mean_latency_ms: st.mean_latency_ms(),
+                retry_ratio: if st.requests == 0 {
+                    0.0
+                } else {
+                    st.retry_fired as f64 / st.requests as f64
+                },
+            }
+        })
+        .collect()
 }
 
 /// What [`Simulation::run_inner`] hands back: a materialized run or its
@@ -858,7 +800,7 @@ impl HarnessFaults {
     }
 }
 
-/// Decide, per PoP, whether the sharded engine must keep the PoP's
+/// Decide, per PoP, whether the engine must keep the PoP's
 /// servers together (coarse) or may split them one shard per server.
 ///
 /// A fine (per-server) shard is exact only while no session in it can
@@ -965,36 +907,29 @@ fn build_runtimes(
     built.into_iter().flatten().collect()
 }
 
-/// Deterministic event-loop throughput counters an engine reports back.
+/// Deterministic event-loop throughput counters the engine reports back.
 #[derive(Debug, Default, Clone, Copy)]
 struct EngineStats {
     /// Events the loop(s) popped — equals the number ever scheduled, so
     /// the total is identical under any sharding.
     events: u64,
-    /// Peak pending-event count (global queue, or per-shard maximum —
-    /// profile-only, not threads-invariant).
+    /// Peak pending-event count (per-shard maximum — profile-only).
     peak_queue: usize,
 }
 
-/// One shard's engine result: canonical position, throughput, wall time
-/// and the subscriber that observed it.
-struct ShardRun<S> {
-    shard_index: usize,
-    pop_index: usize,
-    first_server: usize,
-    n_servers: usize,
-    sessions: u64,
-    wall_ms: f64,
-    /// Worker thread that ran the job (a steal lands it elsewhere than
-    /// the deal chose).
-    worker: usize,
-    /// Job start, ms after the event-loop epoch.
-    start_ms: f64,
+/// What the engine hands back: every completed shard's sink, profile and
+/// counters in canonical shard order, plus the shards that failed.
+struct EngineOutput {
+    /// Completed shards' telemetry, uncopied: the join merges them.
+    sinks: Vec<TelemetrySink>,
+    /// Completed shards' wall-clock profiles.
+    shards: Vec<ShardProfile>,
     stats: EngineStats,
-    sub: S,
+    errors: Vec<ShardError>,
+    wall: EngineWall,
 }
 
-/// Wall-clock engine observations from one sharded run — scheduler
+/// Wall-clock engine observations from one run — scheduler
 /// counters, the timestamped steal log, and watchdog heartbeat samples,
 /// all measured against the event-loop epoch passed to [`run_sharded`].
 /// Feeds [`RunProfile::scheduler`] and the `--trace-out` engine lanes;
@@ -1094,72 +1029,64 @@ fn fold_cache_churn(sim: &mut SimMetrics, fleet: &CdnFleet) {
     }
 }
 
-/// The reference engine: one global event queue over every session.
-fn run_sequential<S: Subscriber>(
-    fleet: &mut CdnFleet,
-    mut runtimes: Vec<SessionRuntime>,
-    catalog: &Catalog,
-    population: &Population,
-    spill: Option<&SpillPlan>,
-    sub: &mut S,
-) -> (TelemetrySink, EngineStats) {
-    let policy = fleet.config().prefetch;
-    let est_chunks: usize = runtimes
-        .iter()
-        .map(|rt| rt.spec.chunks_watched as usize)
-        .sum();
-    // The sequential engine is one logical shard: shard 0.
-    let mut sink = match spill {
-        Some(p) => TelemetrySink::with_spill(runtimes.len(), p.spec(0)),
-        None => TelemetrySink::with_capacity(runtimes.len(), est_chunks),
-    };
-    let mut queue: EventQueue<usize> = EventQueue::with_capacity(runtimes.len());
-    for (idx, rt) in runtimes.iter().enumerate() {
-        queue.schedule(rt.spec.arrival, idx);
+/// Fold the shard recorders into `rec` in canonical shard order — the
+/// commutative merges make [`SimMetrics`] threads-invariant — then append
+/// the engine-topology events, which never touch [`SimMetrics`].
+fn fold_recorders(
+    mut rec: MetricsRecorder,
+    subs: Vec<MetricsRecorder>,
+    engine: &EngineOutput,
+) -> MetricsRecorder {
+    for sub in subs {
+        rec.absorb(sub);
     }
-    while let Some(ev) = queue.pop() {
-        let idx = ev.event;
-        let now = ev.at;
-        let next = step_chunk(
-            &mut runtimes[idx],
-            now,
-            catalog,
-            policy,
-            fleet,
-            &mut sink,
-            sub,
+    rec.add_events_processed(engine.stats.events);
+    for p in &engine.shards {
+        rec.on_shard_merge(
+            &Meta::fleet(SimTime::ZERO),
+            &ShardMerge {
+                shard_index: p.shard_index,
+                pop_index: p.pop_index,
+                sessions: p.sessions,
+                events: p.events,
+            },
         );
-        match next {
-            Some(next_t) => queue.schedule(next_t.max(now), idx),
-            None => {
-                // Read the server after the step: failover may have moved
-                // the session within its PoP.
-                let server = &fleet.servers()[runtimes[idx].server_idx];
-                let (pop, id) = (server.pop(), server.id());
-                finalize_session(&mut runtimes[idx], population, pop, id, &mut sink);
-            }
+    }
+    for e in &engine.errors {
+        if let ShardError::Stalled {
+            shard_index,
+            pop_index,
+            events,
+            sim_ns,
+            ..
+        } = e
+        {
+            rec.on_shard_stalled(
+                &Meta::fleet(SimTime::ZERO),
+                &ShardStalled {
+                    shard_index: *shard_index as u64,
+                    pop_index: *pop_index as u64,
+                    events: *events,
+                    sim_ns: *sim_ns,
+                },
+            );
         }
     }
-    // Seal the tail segment before handing the sink to the join, so the
-    // sealed-segment manifest is complete.
-    sink.seal();
-    let stats = EngineStats {
-        events: queue.popped(),
-        peak_queue: queue.peak_len(),
-    };
-    (sink, stats)
+    rec
 }
 
-/// The sharded engine: sessions partitioned by the shard owning their
-/// assigned server, one independent event loop per [`FleetShard`], run
-/// across `threads` workers by a work-stealing [`WorkQueue`].
+/// The engine: sessions partitioned by the shard owning their assigned
+/// server, one independent event loop per [`FleetShard`], run across
+/// `threads` workers by a work-stealing [`WorkQueue`] (`threads = 1` is
+/// one worker taking every job in turn).
 ///
 /// Shards are per **server** wherever `coarse` permits (see
 /// [`coarse_pop_plan`]) and per PoP elsewhere, so a skewed session
 /// distribution — one PoP holding most of the day — splits into many
 /// independently runnable jobs instead of one monolithic tail.
 ///
-/// Exactness (not just statistical equivalence) holds because:
+/// The output equals that of one global event queue over every session
+/// (the test oracle in this module's tests), exactly, because:
 /// 1. a session's server assignment is fixed before the loop and every
 ///    [`step_chunk`] touches only servers inside the session's shard
 ///    (failover — the one cross-server move — can only fire on coarse
@@ -1168,8 +1095,11 @@ fn run_sequential<S: Subscriber>(
 /// 2. the partition is stable and [`EventQueue`] breaks timestamp ties in
 ///    FIFO insertion order, so any two same-shard events pop in the same
 ///    relative order as in the global queue;
-/// 3. [`Dataset::join`] canonicalizes by session id, making the sink
-///    concatenation order irrelevant.
+/// 3. [`Dataset::assemble`] orders the joined records by session id and
+///    chunk id, whichever shard sink holds them.
+///
+/// The shard sinks come back in canonical shard order, uncopied, next to
+/// one subscriber per completed shard in the same order.
 ///
 /// Each shard job runs under [`catch_unwind`]: a panicking shard (a bug,
 /// or an injected `panic_pops` / `panic_servers` harness fault) is
@@ -1195,7 +1125,7 @@ fn run_sharded<S, F>(
     epoch: Instant,
     spill: Option<&SpillPlan>,
     make_sub: F,
-) -> (TelemetrySink, Vec<ShardRun<S>>, Vec<ShardError>, EngineWall)
+) -> (EngineOutput, Vec<S>)
 where
     S: Subscriber + Send,
     F: Fn() -> S + Sync,
@@ -1255,7 +1185,7 @@ where
     type Job = (FleetShard, Vec<SessionRuntime>, Arc<ProgressCell>);
     type ShardResult<S> = (
         FleetShard,
-        Option<(TelemetrySink, ShardRun<S>)>,
+        Option<(TelemetrySink, ShardProfile, EngineStats, S)>,
         Option<ShardError>,
     );
     let jobs: Vec<Mutex<Option<Job>>> = work.into_iter().map(|j| Mutex::new(Some(j))).collect();
@@ -1339,19 +1269,19 @@ where
                     cell.finish();
                     let entry: ShardResult<S> = match result {
                         Ok(Some((sink, stats, sub))) => {
-                            let run = ShardRun {
-                                shard_index: i,
-                                pop_index,
-                                first_server: shard.members()[0],
-                                n_servers: shard.members().len(),
+                            let profile = ShardProfile {
+                                shard_index: i as u64,
+                                pop_index: pop_index as u64,
+                                first_server: shard.members()[0] as u64,
+                                servers: shard.members().len() as u64,
                                 sessions: n_sessions,
+                                events: stats.events,
+                                peak_queue_depth: stats.peak_queue as u64,
                                 wall_ms: started.elapsed().as_secs_f64() * 1.0e3,
-                                worker: w,
+                                worker: w as u64,
                                 start_ms,
-                                stats,
-                                sub,
                             };
-                            (shard, Some((sink, run)), None)
+                            (shard, Some((sink, profile, stats, sub)), None)
                         }
                         Ok(None) => {
                             let snap = cell.snapshot();
@@ -1390,9 +1320,9 @@ where
     });
 
     // Slot order *is* canonical shard order (see above), so the sink
-    // layout — and the order shard recorders are folded in — is
-    // reproducible run-to-run without a sort. The join canonicalizes by
-    // session id anyway.
+    // order — and the order shard recorders are folded in — is
+    // reproducible run-to-run without a sort. The join orders by session
+    // id anyway.
     let results: Vec<ShardResult<S>> = slots
         .into_iter()
         .map(|s| {
@@ -1422,29 +1352,28 @@ where
             .unwrap_or_else(|e| e.into_inner()),
     };
 
-    let (total_sessions, total_chunks) = results.iter().filter_map(|(_, ok, _)| ok.as_ref()).fold(
-        (0usize, 0usize),
-        |(ns, nc), (shard_sink, _)| {
-            let (p, _, m) = shard_sink.counts();
-            (ns + m, nc + p)
-        },
-    );
-    let mut sink = TelemetrySink::with_capacity(total_sessions, total_chunks);
+    let mut out = EngineOutput {
+        sinks: Vec::with_capacity(results.len()),
+        shards: Vec::with_capacity(results.len()),
+        stats: EngineStats::default(),
+        errors: Vec::new(),
+        wall: engine_wall,
+    };
+    let mut subs = Vec::with_capacity(results.len());
     let mut shards = Vec::with_capacity(results.len());
-    let mut runs = Vec::with_capacity(results.len());
-    let mut errors = Vec::new();
     for (shard, ok, err) in results {
-        if let Some((shard_sink, run)) = ok {
-            sink.absorb(shard_sink);
-            runs.push(run);
+        if let Some((sink, profile, stats, sub)) = ok {
+            out.stats.events += stats.events;
+            out.stats.peak_queue = out.stats.peak_queue.max(stats.peak_queue);
+            out.sinks.push(sink);
+            out.shards.push(profile);
+            subs.push(sub);
         }
-        if let Some(e) = err {
-            errors.push(e);
-        }
+        out.errors.extend(err);
         shards.push(shard);
     }
     fleet.merge_shards(shards);
-    (sink, runs, errors, engine_wall)
+    (out, subs)
 }
 
 /// Render a caught panic payload: strings pass through, anything else
@@ -1459,8 +1388,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One shard's event loop — structurally identical to [`run_sequential`],
-/// restricted to the shard's sessions and servers.
+/// One shard's event loop: a time-ordered [`EventQueue`] over the shard's
+/// sessions, one event per chunk request, stepping on the shard's servers.
 ///
 /// With a `progress` cell the loop publishes a heartbeat (events popped,
 /// current sim-time) after every pop and honors the cell's cancel flag at
@@ -1672,30 +1601,92 @@ mod tests {
         Simulation::new(cfg).run().expect("tiny run")
     }
 
-    #[test]
-    fn sharded_engine_matches_sequential_exactly() {
-        let seq = run_tiny_threads(42, 1);
-        let par = run_tiny_threads(42, 4);
-        assert_eq!(seq.dataset.sessions.len(), par.dataset.sessions.len());
-        assert_eq!(seq.dataset.chunk_count(), par.dataset.chunk_count());
-        for (a, b) in seq.dataset.sessions.iter().zip(&par.dataset.sessions) {
-            assert_eq!(a.meta.session, b.meta.session);
-            assert_eq!(a.meta.server, b.meta.server);
-            assert_eq!(a.chunks.len(), b.chunks.len());
-            for (ca, cb) in a.chunks.iter().zip(&b.chunks) {
-                assert_eq!(ca.player.requested_at, cb.player.requested_at);
-                assert_eq!(ca.player.d_fb, cb.player.d_fb);
-                assert_eq!(ca.cdn.retx_segments, cb.cdn.retx_segments);
+    /// The test oracle: one global [`EventQueue`] over every session,
+    /// each step on the session's own [`FleetShard`], all telemetry in one
+    /// sink. Returns the serialized joined dataset, server reports and
+    /// [`SimMetrics`], in the engine's output form.
+    fn run_global_queue(cfg: &SimulationConfig) -> (String, String, String) {
+        let Setup {
+            catalog,
+            population,
+            mut fleet,
+            mut runtimes,
+            coarse,
+            ..
+        } = Setup::build(cfg, None).expect("oracle setup");
+        let policy = fleet.config().prefetch;
+        let mut shard_of_server = vec![usize::MAX; fleet.len()];
+        let mut shards = fleet.split_shards_with(&coarse);
+        for (slot, shard) in shards.iter().enumerate() {
+            for &s in shard.members() {
+                shard_of_server[s] = slot;
             }
         }
-        // Per-server aggregates are identical too, in the same order.
-        assert_eq!(seq.servers.len(), par.servers.len());
-        for (a, b) in seq.servers.iter().zip(&par.servers) {
-            assert_eq!(a.server, b.server);
-            assert_eq!(a.requests, b.requests);
-            assert_eq!(a.miss_ratio, b.miss_ratio);
-            assert_eq!(a.mean_latency_ms, b.mean_latency_ms);
-            assert_eq!(a.retry_ratio, b.retry_ratio);
+        let mut sink = TelemetrySink::new();
+        let mut rec = MetricsRecorder::with_options(false, false);
+        let mut queue: EventQueue<usize> = EventQueue::with_capacity(runtimes.len());
+        for (idx, rt) in runtimes.iter().enumerate() {
+            queue.schedule(rt.spec.arrival, idx);
+        }
+        while let Some(ev) = queue.pop() {
+            let (idx, now) = (ev.event, ev.at);
+            let rt = &mut runtimes[idx];
+            let shard = &mut shards[shard_of_server[rt.server_idx]];
+            match step_chunk(rt, now, &catalog, policy, shard, &mut sink, &mut rec) {
+                Some(next) => queue.schedule(next.max(now), idx),
+                None => {
+                    let server = shard.server(rt.server_idx);
+                    let (pop, id) = (server.pop(), server.id());
+                    finalize_session(rt, &population, pop, id, &mut sink);
+                }
+            }
+        }
+        rec.add_events_processed(queue.popped());
+        fleet.merge_shards(shards);
+        let (mut sim, _) = rec.into_parts();
+        fold_cache_churn(&mut sim, &fleet);
+        let dataset = Dataset::assemble([sink])
+            .expect("oracle join")
+            .filter_proxies();
+        (
+            serde_json::to_string(&dataset).expect("serialize"),
+            serde_json::to_string(&server_reports(&fleet)).expect("serialize"),
+            serde::Serialize::to_value(&sim).to_json_string(),
+        )
+    }
+
+    #[test]
+    fn sharded_engine_matches_sequential_exactly() {
+        // Byte-level: the engine at 1, 2 and 8 threads against the
+        // global-queue oracle, healthy and under every injectable fault
+        // type (whose blackout also keeps every PoP in one shard).
+        for faults in [
+            streamlab_faults::FaultScenario::default(),
+            stress_scenario(),
+        ] {
+            let mut cfg = SimulationConfig::tiny(42);
+            cfg.faults = faults;
+            let (dataset, servers, sim) = run_global_queue(&cfg);
+            for threads in [1usize, 2, 8] {
+                cfg.threads = threads;
+                let out = Simulation::new(cfg.clone())
+                    .run_observed(ObsOptions::default())
+                    .expect("observed run");
+                let m = &out.metrics.as_ref().expect("metrics present").sim;
+                assert!(
+                    serde_json::to_string(&out.dataset).expect("serialize") == dataset,
+                    "dataset diverged from the oracle at {threads} threads"
+                );
+                assert!(
+                    serde_json::to_string(&out.servers).expect("serialize") == servers,
+                    "server reports diverged from the oracle at {threads} threads"
+                );
+                assert_eq!(
+                    serde::Serialize::to_value(m).to_json_string(),
+                    sim,
+                    "SimMetrics diverged from the oracle at {threads} threads"
+                );
+            }
         }
     }
 
@@ -1831,15 +1822,14 @@ mod tests {
         assert_eq!(m.sim.chunks_served.get(), m.sim.serve_latency_ns.count());
         assert!(m.sim.frames_rendered.get() > 0);
         assert!(m.sim.segments_sent.get() > m.sim.retx_segments.get());
-        // Sharded profile carries per-shard spans; trace is non-empty and
+        // The profile carries per-shard spans; trace is non-empty and
         // each line is one JSON object.
-        assert_eq!(m.profile.engine, "sharded");
         assert!(!m.profile.shards.is_empty());
         let lines = out.trace_lines.as_ref().expect("trace requested");
         assert!(lines.len() as u64 >= m.sim.chunks_served.get());
         let first = serde::Value::parse_json(&lines[0]).expect("line parses");
         assert!(first.get("at_ns").is_some());
-        assert!(m.summary().contains("sharded"));
+        assert!(m.summary().contains("2 threads"));
     }
 
     #[test]
@@ -1928,8 +1918,14 @@ mod tests {
     #[test]
     fn injected_shard_panic_yields_partial_results() {
         let full = run_tiny_threads(13, 2);
+        for threads in [1usize, 2] {
+            assert_panic_pop_partial(&full, threads);
+        }
+    }
+
+    fn assert_panic_pop_partial(full: &RunOutput, threads: usize) {
         let mut cfg = SimulationConfig::tiny(13);
-        cfg.threads = 2;
+        cfg.threads = threads;
         cfg.faults.panic_pops = vec![0];
         let out = Simulation::new(cfg).run().expect("partial run succeeds");
         assert_eq!(out.shard_errors.len(), 1);
@@ -1963,20 +1959,16 @@ mod tests {
     }
 
     #[test]
-    fn sequential_engine_ignores_panic_pops() {
-        let mut cfg = SimulationConfig::tiny(13);
-        cfg.threads = 1;
-        cfg.faults.panic_pops = vec![0];
-        let out = Simulation::new(cfg).run().expect("sequential run");
-        assert!(out.shard_errors.is_empty());
-        assert!(out.dataset.sessions.len() > 300);
-    }
-
-    #[test]
     fn stalled_shard_trips_watchdog_and_yields_partial_results() {
         let full = run_tiny_threads(13, 2);
+        for threads in [1usize, 2] {
+            assert_stall_pop_partial(&full, threads);
+        }
+    }
+
+    fn assert_stall_pop_partial(full: &RunOutput, threads: usize) {
         let mut cfg = SimulationConfig::tiny(13);
-        cfg.threads = 2;
+        cfg.threads = threads;
         cfg.faults.stall_pops = vec![0];
         cfg.shard_deadline_ms = 150;
         let out = Simulation::new(cfg).run().expect("partial run succeeds");
@@ -2028,25 +2020,17 @@ mod tests {
 
     #[test]
     fn stall_fault_without_deadline_is_rejected() {
-        let mut cfg = SimulationConfig::tiny(13);
-        cfg.threads = 2;
-        cfg.faults.stall_pops = vec![0];
-        let err = Simulation::new(cfg).run().unwrap_err();
-        assert!(
-            matches!(err, SimError::Config(_)),
-            "expected config error, got {err}"
-        );
-        assert!(err.to_string().contains("shard-deadline"));
-    }
-
-    #[test]
-    fn sequential_engine_ignores_stall_pops() {
-        let mut cfg = SimulationConfig::tiny(13);
-        cfg.threads = 1;
-        cfg.faults.stall_pops = vec![0];
-        let out = Simulation::new(cfg).run().expect("sequential run");
-        assert!(out.shard_errors.is_empty());
-        assert!(out.dataset.sessions.len() > 300);
+        for threads in [1usize, 2] {
+            let mut cfg = SimulationConfig::tiny(13);
+            cfg.threads = threads;
+            cfg.faults.stall_pops = vec![0];
+            let err = Simulation::new(cfg).run().unwrap_err();
+            assert!(
+                matches!(err, SimError::Config(_)),
+                "expected config error at {threads} threads, got {err}"
+            );
+            assert!(err.to_string().contains("shard-deadline"));
+        }
     }
 
     #[test]
@@ -2187,17 +2171,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_engine_ignores_server_harness_faults() {
-        let mut cfg = SimulationConfig::tiny(13);
-        cfg.threads = 1;
-        cfg.faults.panic_servers = vec![0];
-        cfg.faults.stall_servers = vec![1];
-        let out = Simulation::new(cfg).run().expect("sequential run");
-        assert!(out.shard_errors.is_empty());
-        assert!(out.dataset.sessions.len() > 300);
-    }
-
-    #[test]
     fn stall_server_without_deadline_is_rejected() {
         let mut cfg = SimulationConfig::tiny(13);
         cfg.threads = 2;
@@ -2272,7 +2245,7 @@ mod tests {
         // back) without perturbing the output.
         let mut seq_cfg = SimulationConfig::tiny(21);
         seq_cfg.traffic.sessions = 40;
-        let seq = Simulation::new(seq_cfg).run().expect("sequential run");
+        let seq = Simulation::new(seq_cfg).run().expect("one-worker run");
         let mut cfg = SimulationConfig::tiny(21);
         cfg.traffic.sessions = 40;
         cfg.threads = 4;

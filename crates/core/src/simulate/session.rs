@@ -2,7 +2,7 @@
 //! manifest → ABR → CDN serve → TCP delivery → download stack → playback
 //! buffer → rendering, emitting both sides' telemetry records.
 
-use streamlab_cdn::{CdnFleet, ObjectKey, PrefetchPolicy, ServerPool};
+use streamlab_cdn::{CdnFleet, FleetShard, ObjectKey, PrefetchPolicy};
 use streamlab_client::abr::{Abr, AbrContext};
 use streamlab_client::{DownloadStack, PlaybackBuffer, RenderPath, RetryDecision, RetryState};
 use streamlab_net::TcpConnection;
@@ -22,9 +22,6 @@ pub(super) struct SessionRuntime {
     pub(super) spec: SessionSpec,
     manifest_done: bool,
     pub(super) server_idx: usize,
-    /// PoP of the assigned server. Failover moves `server_idx` only
-    /// within this PoP, which is what keeps the sharded engine exact.
-    pop_index: usize,
     retry: RetryState,
     distance_km: f64,
     conn: TcpConnection,
@@ -112,7 +109,6 @@ impl SessionRuntime {
             spec,
             manifest_done: false,
             server_idx,
-            pop_index: fleet.pop_index_of(server_idx),
             retry,
             distance_km,
             conn,
@@ -129,24 +125,25 @@ impl SessionRuntime {
 }
 
 /// Process one chunk request for session `rt` at time `now`, serving from
-/// its assigned server (`rt.server_idx`) in pool `pool`, under the
-/// fleet-wide prefetch policy. Returns the time of the session's next
-/// request, or `None` when the session ended.
+/// its assigned server (`rt.server_idx`) in `shard` — the shard that owns
+/// that server — under the fleet-wide prefetch policy. Returns the time
+/// of the session's next request, or `None` when the session ended.
 ///
-/// The pool is either the whole [`CdnFleet`] (sequential engine) or the
-/// session's PoP [`FleetShard`]: a step only ever touches servers of the
-/// session's own PoP (assignment and failover both stay in-PoP), so
-/// per-PoP shards can run concurrently and remain exact.
+/// A step only ever touches servers of the session's own shard:
+/// assignment is fixed before the event loop, and failover (the one
+/// cross-server move) stays inside the PoP and only fires where the
+/// engine keeps the whole PoP in one shard. Shards can therefore run
+/// concurrently, in any order, and remain exact.
 ///
 /// Observability events flow into `sub`; with
 /// [`streamlab_obs::NoopSubscriber`] the probes monomorphize away and this
 /// is the uninstrumented step.
-pub(super) fn step_chunk<P: ServerPool, S: Subscriber>(
+pub(super) fn step_chunk<S: Subscriber>(
     rt: &mut SessionRuntime,
     now: SimTime,
     catalog: &Catalog,
     prefetch_policy: PrefetchPolicy,
-    pool: &mut P,
+    shard: &mut FleetShard,
     sink: &mut TelemetrySink,
     sub: &mut S,
 ) -> Option<SimTime> {
@@ -177,7 +174,7 @@ pub(super) fn step_chunk<P: ServerPool, S: Subscriber>(
     loop {
         let reason = if rt.conn.in_blackout(now) {
             Some(FailReason::Blackout)
-        } else if pool.pool_server(rt.server_idx).is_out(now) {
+        } else if shard.server(rt.server_idx).is_out(now) {
             Some(FailReason::Outage)
         } else {
             None
@@ -220,7 +217,9 @@ pub(super) fn step_chunk<P: ServerPool, S: Subscriber>(
             },
         );
         if matches!(decision, RetryDecision::Failover { .. }) {
-            let members = pool.pop_members(rt.pop_index);
+            // Failover only fires in whole-PoP shards, so the shard's
+            // members are the PoP's, in the fleet's order.
+            let members = shard.members();
             let pos = members
                 .binary_search(&rt.server_idx)
                 .expect("session's server is a member of its PoP");
@@ -249,7 +248,7 @@ pub(super) fn step_chunk<P: ServerPool, S: Subscriber>(
         rt.manifest_done = true;
         let rtt0 = rt.conn.rtt0_sample(now);
         let at_server = now + rtt0 / 2;
-        let outcome = pool.pool_server_mut(rt.server_idx).serve_with(
+        let outcome = shard.server_mut(rt.server_idx).serve_with(
             ObjectKey::manifest(rt.spec.video),
             streamlab_cdn::MANIFEST_BYTES,
             rt.spec.video.rank(),
@@ -307,7 +306,7 @@ pub(super) fn step_chunk<P: ServerPool, S: Subscriber>(
     // 3. The CDN serves (cache lookup, retry timer, backend, prefetch).
     let prefetch = prefetch_policy.list(catalog, key);
     let rank = rt.spec.video.rank();
-    let outcome = pool.pool_server_mut(rt.server_idx).serve_with(
+    let outcome = shard.server_mut(rt.server_idx).serve_with(
         key,
         size,
         rank,

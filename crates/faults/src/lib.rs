@@ -24,8 +24,7 @@
 //!
 //! The one deliberate exception is [`FaultScenario::panic_pops`]: it
 //! injects a *harness* fault (a shard job panic) used to exercise the
-//! orchestrator's panic isolation, and therefore only has an effect on the
-//! sharded engine.
+//! orchestrator's panic isolation, at any thread count.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -60,11 +60,7 @@ pub fn render(sim: &SimMetrics, profile: Option<&RunProfile>) -> String {
             "# HELP {PREFIX}_run_info wall-clock engine facts; non-deterministic"
         );
         let _ = writeln!(out, "# TYPE {PREFIX}_run_info gauge");
-        let _ = writeln!(
-            out,
-            "{PREFIX}_run_info{{engine=\"{}\",threads=\"{}\"}} 1",
-            p.engine, p.threads
-        );
+        let _ = writeln!(out, "{PREFIX}_run_info{{threads=\"{}\"}} 1", p.threads);
         for (name, v) in [
             ("wall_setup_ms", p.setup_ms),
             ("wall_event_loop_ms", p.event_loop_ms),
@@ -166,7 +162,6 @@ mod tests {
     fn profile_section_is_flagged_non_deterministic() {
         let sim = SimMetrics::default();
         let profile = RunProfile {
-            engine: "sharded".into(),
             threads: 4,
             setup_ms: 10.0,
             event_loop_ms: 200.0,
@@ -184,7 +179,7 @@ mod tests {
             shards: Vec::new(),
         };
         let text = render(&sim, Some(&profile));
-        assert!(text.contains("streamlab_run_info{engine=\"sharded\",threads=\"4\"} 1"));
+        assert!(text.contains("streamlab_run_info{threads=\"4\"} 1"));
         assert!(text.contains("streamlab_sched_steals_total 2"));
         assert!(text.contains("non-deterministic"));
         let eof_at = text.find("# EOF").expect("terminator");

@@ -55,7 +55,7 @@ pub struct SchedulerCounters {
     /// Steal scans that found every deque empty.
     pub steal_failures: u64,
     /// Worker deques actually spun up (after the per-worker cost-floor
-    /// clamp; zero for the sequential engine).
+    /// clamp).
     pub workers: u64,
     /// Workers the cost-floor clamp removed relative to the requested
     /// thread count: non-zero means the fleet was too small to feed every
@@ -66,26 +66,22 @@ pub struct SchedulerCounters {
 /// Wall-clock profile of one run: where the time went.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunProfile {
-    /// Engine used: `"sequential"` or `"sharded"`.
-    pub engine: String,
     /// Worker threads requested.
     pub threads: u64,
     /// World generation + session-runtime setup, milliseconds.
     pub setup_ms: f64,
-    /// Event loop(s), wall milliseconds (for the sharded engine this is
-    /// the span from first shard start to last shard finish).
+    /// Event loop, wall milliseconds: the span from first shard start to
+    /// last shard finish.
     pub event_loop_ms: f64,
     /// Telemetry join + preprocessing + report assembly, milliseconds.
     pub merge_ms: f64,
     /// Events processed per wall second across the whole event loop.
     pub events_per_sec: f64,
-    /// Peak pending-event count (global queue for the sequential engine;
-    /// maximum over shards for the sharded engine).
+    /// Peak pending-event count, maximum over shards.
     pub peak_queue_depth: u64,
-    /// Work-stealing scheduler counters (all zero for the sequential
-    /// engine, which has no job queue).
+    /// Work-stealing scheduler counters.
     pub scheduler: SchedulerCounters,
-    /// Per-shard breakdown (empty for the sequential engine).
+    /// Per-shard breakdown, completed shards only.
     pub shards: Vec<ShardProfile>,
 }
 
@@ -115,8 +111,7 @@ impl RunMetrics {
         let ns_ms = |q: Option<u64>| q.map(|v| v as f64 / 1.0e6).unwrap_or(0.0);
         let mut out = String::new();
         out.push_str(&format!(
-            "engine {} ({} threads): {} events in {:.0} ms ({:.0}k events/s), peak queue {}\n",
-            p.engine,
+            "engine ({} threads): {} events in {:.0} ms ({:.0}k events/s), peak queue {}\n",
             p.threads,
             s.events_processed.get(),
             p.event_loop_ms,
@@ -229,7 +224,6 @@ mod tests {
         let m = RunMetrics {
             sim,
             profile: RunProfile {
-                engine: "sharded".into(),
                 threads: 4,
                 setup_ms: 12.0,
                 event_loop_ms: 340.0,
@@ -274,7 +268,7 @@ mod tests {
         };
         let text = m.summary();
         assert!(text.contains("1234"));
-        assert!(text.contains("sharded"));
+        assert!(text.contains("engine (4 threads)"));
         // Coarse shards print their PoP; fine shards name their server.
         assert!(text.contains("pop0"));
         assert!(text.contains("pop1/srv7"));
@@ -299,7 +293,6 @@ mod tests {
         let m = RunMetrics {
             sim: SimMetrics::default(),
             profile: RunProfile {
-                engine: "sharded".into(),
                 threads: 4,
                 setup_ms: 1.0,
                 event_loop_ms: 2.0,
@@ -322,7 +315,6 @@ mod tests {
         let m = RunMetrics {
             sim: SimMetrics::default(),
             profile: RunProfile {
-                engine: "sequential".into(),
                 threads: 1,
                 setup_ms: 1.0,
                 event_loop_ms: 2.0,

@@ -10,9 +10,9 @@
 //! canonical shard order, and then [`canonicalize`]d — sorted by
 //! `(session, chunk, kind)` and re-numbered with parents assigned — so
 //! the serialized stream is **byte-identical at any `--threads` value**.
-//! The sharded engine interleaves sessions differently than the
-//! sequential one, but the canonical order is a pure function of the
-//! simulated timeline, which `tests/trace_spans.rs` pins down. Wall-clock
+//! Shards interleave sessions differently than one global event queue
+//! would, but the canonical order is a pure function of the simulated
+//! timeline, which `tests/trace_spans.rs` pins down. Wall-clock
 //! intervals are deliberately a different type
 //! ([`crate::trace_writer::WallTrace`]); the two clocks never mix.
 

@@ -1,6 +1,6 @@
 //! Shard watchdog: wall-clock deadline over per-shard sim-time progress.
 //!
-//! The sharded engine publishes each shard's progress (events popped,
+//! The engine publishes each shard's progress (events popped,
 //! current sim-time) into a [`ProgressCell`]. [`run`] polls those cells:
 //! a shard that is `Running` but whose **sim-time has not advanced** for
 //! longer than the deadline is cancelled (cooperatively — the shard loop

@@ -6,10 +6,11 @@
 //! chunk IDs." §3 then filters sessions behind HTTP proxies, keeping 77 %
 //! of sessions.
 
+use crate::merge::SessionStream;
 use crate::records::{CdnChunkRecord, ChunkRecord, PlayerChunkRecord, SessionMeta};
 use crate::segment::{self, SegmentMeta};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use streamlab_supervisor::Storage;
 use streamlab_workload::{ChunkIndex, SessionId};
@@ -40,13 +41,16 @@ struct SpillState {
 }
 
 /// Collects the three beacon streams as the simulation runs.
+///
+/// Its chunk records are sorted runs: one per sealed segment, plus the
+/// in-RAM arena, which [`Dataset::assemble`] treats as one more run.
 #[derive(Debug, Default)]
 pub struct TelemetrySink {
-    player: Vec<PlayerChunkRecord>,
-    cdn: Vec<CdnChunkRecord>,
-    sessions: Vec<SessionMeta>,
+    pub(crate) player: Vec<PlayerChunkRecord>,
+    pub(crate) cdn: Vec<CdnChunkRecord>,
+    pub(crate) sessions: Vec<SessionMeta>,
     spill: Option<SpillState>,
-    sealed: Vec<SegmentMeta>,
+    pub(crate) sealed: Vec<SegmentMeta>,
     spill_errors: Vec<String>,
 }
 
@@ -57,7 +61,7 @@ impl TelemetrySink {
     }
 
     /// A sink with pre-sized arenas: room for `sessions` metadata beacons
-    /// and `chunks` records in each per-chunk stream. The engines size
+    /// and `chunks` records in each per-chunk stream. The engine sizes
     /// this from the session specs so the hot loop appends without ever
     /// reallocating.
     pub fn with_capacity(sessions: usize, chunks: usize) -> Self {
@@ -127,32 +131,18 @@ impl TelemetrySink {
         &self.spill_errors
     }
 
-    /// Append every record from `other`, consuming it.
+    /// Flush the remaining arena rows as a final (possibly small) segment
+    /// and release the arenas' spare capacity.
     ///
-    /// Used to merge the per-shard sinks of a parallel run. Concatenation
-    /// order does not matter for the result of [`Dataset::join`]: the join
-    /// canonicalizes by session id, so any interleaving of shard sinks
-    /// produces the same dataset. Sealed segments and spill errors are
-    /// carried over; `other`'s live spill configuration is dropped (the
-    /// absorbing sink is the post-run merge target, which never spills
-    /// itself).
-    pub fn absorb(&mut self, other: TelemetrySink) {
-        self.player.extend(other.player);
-        self.cdn.extend(other.cdn);
-        self.sessions.extend(other.sessions);
-        self.sealed.extend(other.sealed);
-        self.spill_errors.extend(other.spill_errors);
-    }
-
-    /// Flush the remaining arena rows as a final (possibly small) segment.
-    ///
-    /// The engines call this once per shard when its event loop drains, so
+    /// The engine calls this once per shard when its event loop drains, so
     /// a spilling shard hands back a sink whose chunk arenas are empty and
     /// whose data lives entirely in sealed segments. A no-op without spill
-    /// mode (or after a spill error disabled it).
+    /// mode; after a spill error disabled spilling, only the release.
     pub fn seal(&mut self) {
         if self.spill.is_some() {
             self.flush_run();
+            self.player.shrink_to_fit();
+            self.cdn.shrink_to_fit();
         }
     }
 
@@ -195,57 +185,14 @@ impl TelemetrySink {
                 self.sealed.push(meta);
             }
             Err(e) => {
-                // Keep the rows (sorted order is still engine-shaped:
-                // pairwise adjacent, per-session chunks ascending) and stop
-                // spilling; the run completes in RAM.
+                // Keep the rows and stop spilling; the run completes in
+                // RAM, where the arena is one more run for the join.
                 state.disabled = true;
                 self.spill_errors
                     .push(format!("sealing {} failed: {e}", path.display()));
                 self.player.extend(player);
                 self.cdn.extend(cdn);
             }
-        }
-    }
-
-    /// Read every sealed segment back into the in-RAM arenas, consuming
-    /// the segment list. Used by the reference join (the oracle must see
-    /// the same rows the streaming merge does) and by the fallback path
-    /// for sinks whose in-RAM tail is not merge-shaped.
-    pub(crate) fn materialize(&mut self) -> Result<(), JoinError> {
-        for meta in std::mem::take(&mut self.sealed) {
-            let (_, p, c) = segment::read_segment(std::path::Path::new(&meta.path))
-                .map_err(|e| JoinError::Spill(format!("reading {}: {e}", meta.path)))?;
-            self.player.extend(p);
-            self.cdn.extend(c);
-        }
-        Ok(())
-    }
-
-    /// Split the sink into its raw parts (merge machinery).
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        Vec<PlayerChunkRecord>,
-        Vec<CdnChunkRecord>,
-        Vec<SessionMeta>,
-        Vec<SegmentMeta>,
-    ) {
-        (self.player, self.cdn, self.sessions, self.sealed)
-    }
-
-    /// Rebuild a plain in-RAM sink from raw parts (merge machinery).
-    pub(crate) fn from_parts(
-        player: Vec<PlayerChunkRecord>,
-        cdn: Vec<CdnChunkRecord>,
-        sessions: Vec<SessionMeta>,
-        sealed: Vec<SegmentMeta>,
-    ) -> Self {
-        TelemetrySink {
-            player,
-            cdn,
-            sessions,
-            sealed,
-            ..Self::default()
         }
     }
 }
@@ -406,168 +353,16 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Join the three beacon streams on `(session, chunk)`.
+    /// Join the beacon streams of `sinks` on `(session, chunk)`: one
+    /// k-way merge over every sink's sealed segments and in-RAM arena
+    /// (see [`SessionStream`]), sessions ascending by id, chunks ascending
+    /// within each session. Sinks may come in any order.
     ///
-    /// Fails if any record is orphaned or duplicated: in the simulator —
-    /// unlike production — the join must be total, and a violation is a
-    /// bug in the orchestrator.
-    pub fn join(sink: TelemetrySink) -> Result<Dataset, JoinError> {
-        Self::assemble(sink)
-    }
-
-    /// The production join: a linear indexed pass exploiting the shape
-    /// the engines actually emit, falling back to [`Dataset::join_reference`]
-    /// when any invariant does not hold.
-    ///
-    /// The engines push each chunk's player and CDN records adjacently
-    /// (`sink.player[i]` ↔ `sink.cdn[i]` are the same chunk) and each
-    /// session's chunks in order `0, 1, 2, …` — invariants a single O(n)
-    /// validation pass can confirm without hashing a single key. When they
-    /// hold, assembly is pure moves into pre-sized per-session vectors in
-    /// ascending session-id order: exactly the dataset the hash-join
-    /// reference builds, without the `HashMap`, the `BTreeMap` or the
-    /// per-session sort. When they don't (hand-built sinks, out-of-order
-    /// replays), the reference path runs and reports the exact same
-    /// [`JoinError`]s it always did.
-    pub fn assemble(sink: TelemetrySink) -> Result<Dataset, JoinError> {
-        if !sink.sealed_segments().is_empty() {
-            return crate::merge::assemble_spilled(sink);
-        }
-        match Self::join_indexed(sink) {
-            Ok(ds) => Ok(ds),
-            Err(sink) => Self::join_reference(sink),
-        }
-    }
-
-    /// The indexed fast path. Returns the sink unchanged if any invariant
-    /// fails, so the caller can fall back to the reference join.
-    #[allow(clippy::result_large_err)] // Err hands the whole sink back for the fallback join
-    fn join_indexed(sink: TelemetrySink) -> Result<Dataset, TelemetrySink> {
-        // --- validation: one read-only linear pass ---
-        if sink.player.len() != sink.cdn.len() {
-            return Err(sink);
-        }
-        let mut max_id: u64 = 0;
-        for m in &sink.sessions {
-            max_id = max_id.max(m.session.raw());
-        }
-        for p in &sink.player {
-            max_id = max_id.max(p.session.raw());
-        }
-        let slots = max_id as usize + 1;
-        // Engines hand out dense session ids; a sparse id space would blow
-        // the direct-indexed tables up, so punt to the hash join instead.
-        if slots > 4 * (sink.sessions.len() + sink.player.len()) + 1024 {
-            return Err(sink);
-        }
-        // Per-session expected next chunk id; doubles as the chunk count.
-        let mut next: Vec<u32> = vec![0; slots];
-        for (p, c) in sink.player.iter().zip(&sink.cdn) {
-            if p.session != c.session || p.chunk != c.chunk {
-                return Err(sink);
-            }
-            let sid = p.session.raw() as usize;
-            if p.chunk.raw() != next[sid] {
-                return Err(sink);
-            }
-            next[sid] += 1;
-        }
-        let mut has_meta = vec![false; slots];
-        for m in &sink.sessions {
-            has_meta[m.session.raw() as usize] = true;
-        }
-        if next.iter().zip(&has_meta).any(|(&n, &has)| n > 0 && !has) {
-            return Err(sink);
-        }
-
-        // --- assembly: pure moves, cannot fail ---
-        let TelemetrySink {
-            player,
-            cdn,
-            sessions,
-            ..
-        } = sink;
-        let mut meta_slot: Vec<Option<SessionMeta>> = (0..slots).map(|_| None).collect();
-        for m in sessions {
-            // Last meta wins, matching the reference join's map insert.
-            let sid = m.session.raw() as usize;
-            meta_slot[sid] = Some(m);
-        }
-        let mut chunk_slot: Vec<Vec<ChunkRecord>> = next
-            .iter()
-            .map(|&n| Vec::with_capacity(n as usize))
-            .collect();
-        for (p, c) in player.into_iter().zip(cdn) {
-            chunk_slot[p.session.raw() as usize].push(ChunkRecord { player: p, cdn: c });
-        }
-        let live = next.iter().filter(|&&n| n > 0).count();
-        let mut out = Vec::with_capacity(live);
-        for (sid, chunks) in chunk_slot.into_iter().enumerate() {
-            if chunks.is_empty() {
-                // Zero-chunk sessions are dropped, like the reference join
-                // (it only materializes sessions seen in the chunk streams).
-                continue;
-            }
-            let meta = meta_slot[sid].take().expect("validated above");
-            out.push(SessionData { meta, chunks });
-        }
-        let raw = out.len();
-        Ok(Dataset {
-            sessions: out,
-            filtered_proxy_sessions: 0,
-            raw_sessions: raw,
-        })
-    }
-
-    /// The reference hash join: builds the dataset key-by-key with no
-    /// assumptions about record order or alignment. This is the semantic
-    /// definition [`Dataset::assemble`]'s fast path is tested against, and
-    /// the path that diagnoses malformed sinks with a precise
-    /// [`JoinError`].
-    pub fn join_reference(mut sink: TelemetrySink) -> Result<Dataset, JoinError> {
-        // The oracle must see spilled rows too: read them back into the
-        // arenas first so it joins exactly what the streaming merge would.
-        sink.materialize()?;
-        let mut metas: BTreeMap<SessionId, SessionMeta> = BTreeMap::new();
-        for m in sink.sessions {
-            metas.insert(m.session, m);
-        }
-
-        let mut cdn: HashMap<(SessionId, ChunkIndex), CdnChunkRecord> = HashMap::new();
-        for r in sink.cdn {
-            let key = (r.session, r.chunk);
-            if cdn.insert(key, r).is_some() {
-                return Err(JoinError::DuplicateKey(key.0, key.1));
-            }
-        }
-
-        let mut by_session: BTreeMap<SessionId, Vec<ChunkRecord>> = BTreeMap::new();
-        for p in sink.player {
-            let key = (p.session, p.chunk);
-            let Some(c) = cdn.remove(&key) else {
-                return Err(JoinError::OrphanPlayerRecord(key.0, key.1));
-            };
-            if !metas.contains_key(&p.session) {
-                return Err(JoinError::MissingSessionMeta(p.session));
-            }
-            by_session
-                .entry(p.session)
-                .or_default()
-                .push(ChunkRecord { player: p, cdn: c });
-        }
-        if let Some(((s, c), _)) = cdn.into_iter().next() {
-            return Err(JoinError::OrphanCdnRecord(s, c));
-        }
-
-        let mut sessions = Vec::with_capacity(by_session.len());
-        for (id, mut chunks) in by_session {
-            // (session, chunk) keys are unique past the duplicate check, so
-            // an unstable sort cannot reorder equal elements — there are
-            // none.
-            chunks.sort_unstable_by_key(|c| c.chunk());
-            let meta = metas.remove(&id).expect("checked above");
-            sessions.push(SessionData { meta, chunks });
-        }
+    /// Fails if any record is orphaned or duplicated, or a session's
+    /// chunks have no metadata: in the simulator — unlike production — the
+    /// join must be total, and a violation is a bug in the orchestrator.
+    pub fn assemble(sinks: impl IntoIterator<Item = TelemetrySink>) -> Result<Dataset, JoinError> {
+        let sessions = SessionStream::new(sinks).collect::<Result<Vec<_>, _>>()?;
         let raw = sessions.len();
         Ok(Dataset {
             sessions,
@@ -711,7 +506,7 @@ mod tests {
                 sink.cdn_chunk(cdn(id, c, 0));
             }
         }
-        let ds = Dataset::join(sink).expect("join");
+        let ds = Dataset::assemble([sink]).expect("join");
         assert_eq!(ds.sessions.len(), 3);
         assert_eq!(ds.chunk_count(), 12);
         for s in &ds.sessions {
@@ -728,7 +523,7 @@ mod tests {
         sink.session(meta(0, false));
         sink.player_chunk(player(0, 0));
         assert_eq!(
-            Dataset::join(sink).unwrap_err(),
+            Dataset::assemble([sink]).unwrap_err(),
             JoinError::OrphanPlayerRecord(SessionId(0), ChunkIndex(0))
         );
     }
@@ -739,7 +534,7 @@ mod tests {
         sink.session(meta(0, false));
         sink.cdn_chunk(cdn(0, 0, 0));
         assert_eq!(
-            Dataset::join(sink).unwrap_err(),
+            Dataset::assemble([sink]).unwrap_err(),
             JoinError::OrphanCdnRecord(SessionId(0), ChunkIndex(0))
         );
     }
@@ -750,7 +545,7 @@ mod tests {
         sink.player_chunk(player(0, 0));
         sink.cdn_chunk(cdn(0, 0, 0));
         assert_eq!(
-            Dataset::join(sink).unwrap_err(),
+            Dataset::assemble([sink]).unwrap_err(),
             JoinError::MissingSessionMeta(SessionId(0))
         );
     }
@@ -762,7 +557,7 @@ mod tests {
         sink.cdn_chunk(cdn(0, 0, 0));
         sink.cdn_chunk(cdn(0, 0, 0));
         assert_eq!(
-            Dataset::join(sink).unwrap_err(),
+            Dataset::assemble([sink]).unwrap_err(),
             JoinError::DuplicateKey(SessionId(0), ChunkIndex(0))
         );
     }
@@ -775,7 +570,7 @@ mod tests {
             sink.player_chunk(player(id, 0));
             sink.cdn_chunk(cdn(id, 0, 0));
         }
-        let ds = Dataset::join(sink).unwrap().filter_proxies();
+        let ds = Dataset::assemble([sink]).unwrap().filter_proxies();
         assert_eq!(ds.sessions.len(), 8);
         assert_eq!(ds.filtered_proxy_sessions, 2);
         assert!((ds.retention() - 0.8).abs() < 1e-9);
@@ -789,7 +584,7 @@ mod tests {
             sink.player_chunk(player(0, c));
             sink.cdn_chunk(cdn(0, c, if c == 0 { 54 } else { 0 }));
         }
-        let ds = Dataset::join(sink).unwrap();
+        let ds = Dataset::assemble([sink]).unwrap();
         let s = &ds.sessions[0];
         assert!(!s.loss_free());
         // 54 retx over 2700 segments = 2 %.

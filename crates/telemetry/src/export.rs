@@ -189,7 +189,7 @@ mod tests {
                 });
             }
         }
-        Dataset::join(sink).expect("join")
+        Dataset::assemble([sink]).expect("join")
     }
 
     #[test]

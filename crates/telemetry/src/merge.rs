@@ -1,78 +1,132 @@
-//! Streaming k-way merge over sealed spill segments.
+//! The one assembly path: a k-way merge over sorted runs.
 //!
-//! A spilled [`TelemetrySink`] holds its chunk records as a set of sorted
-//! runs: one per sealed segment plus whatever tail is still in RAM. Each
-//! run is strictly ascending on `(session, chunk)` and pairwise keyed
-//! (player\[i\] ↔ cdn\[i\] are the same chunk), and a session's records all
-//! come from one shard, so merging the runs by sort key yields the exact
-//! record order the in-RAM join produces: sessions ascending by id, chunks
-//! ascending within each session.
+//! Every [`TelemetrySink`] holds its chunk records as sorted runs: one per
+//! sealed spill segment, plus its in-RAM arena, which is an unsealed run
+//! whose player and CDN halves are each sorted by `(session, chunk)` when
+//! the merge opens. Merging the runs of every sink by that key yields the
+//! sessions ascending by id and each session's chunks ascending — the
+//! §2.2 join on session ID and chunk ID — whichever shard held them and
+//! whether or not they spilled.
 //!
 //! The merge runs behind a classic loser tree — `O(log k)` comparisons per
-//! row — and re-applies the in-RAM join's invariant checks per merge
-//! window: keys must strictly ascend (an equal key is a
-//! [`JoinError::DuplicateKey`]) and every emitted session must have
-//! metadata ([`JoinError::MissingSessionMeta`]). Orphan checks are free:
-//! segments store paired rows, so one-sided records cannot exist in a run.
-//! Sinks whose in-RAM tail is *not* merge-shaped (hand-built sinks with
-//! mismatched halves) fall back to materializing every segment and running
-//! [`Dataset::join_reference`], which reports the same errors it always
-//! did — the reference join stays the oracle either way.
+//! row — and takes all rows that share a key together. Exactly one player
+//! beacon and one CDN line join; any other mix is reported as the
+//! [`JoinError`] the hash-join definition of the join gives for it: a
+//! repeated CDN line is a [`JoinError::DuplicateKey`], a lone CDN line a
+//! [`JoinError::OrphanCdnRecord`], a player beacon without a CDN line of
+//! its own a [`JoinError::OrphanPlayerRecord`], and chunks of a session
+//! without metadata a [`JoinError::MissingSessionMeta`].
 
 use std::io;
+use std::iter::Peekable;
 use std::path::Path;
+use std::vec::IntoIter;
 
-use crate::dataset::{Dataset, JoinError, SessionData, TelemetrySink};
+use crate::dataset::{JoinError, SessionData, TelemetrySink};
 use crate::records::{CdnChunkRecord, ChunkRecord, PlayerChunkRecord, SessionMeta};
 use crate::segment::{SegmentMeta, SegmentReader, SortKey};
 
-type Pair = (PlayerChunkRecord, CdnChunkRecord);
-
-fn key_of(p: &PlayerChunkRecord) -> SortKey {
-    (p.session, p.chunk)
+/// One merge item: a joined chunk, or a half its run holds no counterpart
+/// for.
+enum Row {
+    Joined(ChunkRecord),
+    Player(PlayerChunkRecord),
+    Cdn(CdnChunkRecord),
 }
 
-/// One sorted run feeding the merge.
-enum Run {
-    /// A sealed segment, streamed one row group at a time.
-    Segment {
-        reader: SegmentReader,
-        buf: std::vec::IntoIter<Pair>,
-        path: String,
-    },
-    /// The sorted in-RAM tail.
-    Mem(std::vec::IntoIter<Pair>),
+/// One sorted run feeding the merge: a sealed segment, read one row group
+/// at a time, or a sink's in-RAM arena (no segment behind it). Rows stay
+/// in the run until they are taken.
+struct Run {
+    player: IntoIter<PlayerChunkRecord>,
+    cdn: IntoIter<CdnChunkRecord>,
+    segment: Option<(SegmentReader, String)>,
 }
 
 impl Run {
-    fn next(&mut self) -> Result<Option<Pair>, JoinError> {
-        match self {
-            Run::Mem(it) => Ok(it.next()),
-            Run::Segment { reader, buf, path } => {
-                if let Some(pair) = buf.next() {
-                    return Ok(Some(pair));
-                }
-                match reader
-                    .next_group()
-                    .map_err(|e| JoinError::Spill(format!("reading {path}: {e}")))?
-                {
-                    None => Ok(None),
-                    Some((p, c)) => {
-                        *buf = p.into_iter().zip(c).collect::<Vec<_>>().into_iter();
-                        Ok(buf.next())
-                    }
-                }
+    /// An in-RAM arena as a run: both halves sorted by key, ties kept in
+    /// push order.
+    fn arena(mut player: Vec<PlayerChunkRecord>, mut cdn: Vec<CdnChunkRecord>) -> Run {
+        player.sort_by_cached_key(|p| (p.session, p.chunk));
+        cdn.sort_by_cached_key(|c| (c.session, c.chunk));
+        Run {
+            player: player.into_iter(),
+            cdn: cdn.into_iter(),
+            segment: None,
+        }
+    }
+
+    /// A sealed segment as a run, checked against its manifest entry.
+    fn segment(meta: &SegmentMeta) -> Result<Run, JoinError> {
+        let reader = SegmentReader::open(Path::new(&meta.path))
+            .map_err(|e| JoinError::Spill(format!("opening {}: {e}", meta.path)))?;
+        let h = reader.header();
+        if h.rows != meta.rows || h.shard != meta.shard || h.seq != meta.seq {
+            return Err(JoinError::Spill(format!(
+                "segment {} disagrees with its manifest entry",
+                meta.path
+            )));
+        }
+        Ok(Run {
+            player: Vec::new().into_iter(),
+            cdn: Vec::new().into_iter(),
+            segment: Some((reader, meta.path.clone())),
+        })
+    }
+
+    /// The keys at the head of the player and CDN halves.
+    fn heads(&self) -> (Option<SortKey>, Option<SortKey>) {
+        (
+            self.player.as_slice().first().map(|p| (p.session, p.chunk)),
+            self.cdn.as_slice().first().map(|c| (c.session, c.chunk)),
+        )
+    }
+
+    /// The key of the run's next row, reading the segment's next row group
+    /// once the current one is used up.
+    fn peek_key(&mut self) -> Result<Option<SortKey>, JoinError> {
+        if self.player.len() == 0 && self.cdn.len() == 0 {
+            let Some((reader, path)) = &mut self.segment else {
+                return Ok(None);
+            };
+            let Some((p, c)) = reader
+                .next_group()
+                .map_err(|e| JoinError::Spill(format!("reading {path}: {e}")))?
+            else {
+                return Ok(None);
+            };
+            self.player = p.into_iter();
+            self.cdn = c.into_iter();
+        }
+        Ok(match self.heads() {
+            (Some(p), Some(c)) => Some(p.min(c)),
+            (p, c) => p.or(c),
+        })
+    }
+
+    /// Take the row [`Run::peek_key`] announced: the two halves' heads join
+    /// when their keys match, otherwise the smaller head comes out alone.
+    fn take(&mut self) -> Row {
+        match self.heads() {
+            (Some(p), Some(c)) if p == c => Row::Joined(ChunkRecord {
+                player: self.player.next().expect("peeked"),
+                cdn: self.cdn.next().expect("peeked"),
+            }),
+            (Some(p), c) if c.is_none_or(|c| p < c) => {
+                Row::Player(self.player.next().expect("peeked"))
             }
+            _ => Row::Cdn(self.cdn.next().expect("peeked")),
         }
     }
 }
 
 /// Loser-tree merge over `k` sorted runs: `tree[0]` holds the current
 /// winner, the internal nodes hold losers; replaying one run after a pop
-/// costs `O(log k)` head comparisons.
+/// costs `O(log k)` head-key comparisons.
 struct LoserTree {
     runs: Vec<Run>,
-    heads: Vec<Option<(SortKey, Pair)>>,
+    /// Each run's head key; `None` once the run is exhausted.
+    keys: Vec<Option<SortKey>>,
     tree: Vec<usize>,
     k: usize,
 }
@@ -82,14 +136,14 @@ const EMPTY: usize = usize::MAX;
 impl LoserTree {
     fn new(mut runs: Vec<Run>) -> Result<LoserTree, JoinError> {
         let k = runs.len().max(1);
-        let mut heads = Vec::with_capacity(k);
+        let mut keys = Vec::with_capacity(k);
         for run in &mut runs {
-            heads.push(run.next()?.map(|p| (key_of(&p.0), p)));
+            keys.push(run.peek_key()?);
         }
-        heads.resize_with(k, || None);
+        keys.resize(k, None);
         let mut tree = LoserTree {
             runs,
-            heads,
+            keys,
             tree: vec![EMPTY; k],
             k,
         };
@@ -130,8 +184,8 @@ impl LoserTree {
         if b == EMPTY {
             return true;
         }
-        match (&self.heads[a], &self.heads[b]) {
-            (Some((ka, _)), Some((kb, _))) => (ka, a) < (kb, b),
+        match (self.keys[a], self.keys[b]) {
+            (Some(ka), Some(kb)) => (ka, a) < (kb, b),
             (Some(_), None) => true,
             (None, Some(_)) => false,
             (None, None) => a < b,
@@ -153,23 +207,26 @@ impl LoserTree {
         self.tree[0] = winner;
     }
 
-    /// Pop the smallest head across all runs.
-    fn pop(&mut self) -> Result<Option<Pair>, JoinError> {
+    /// The smallest head key, without popping its row.
+    fn peek_key(&self) -> Option<SortKey> {
+        *self.keys.get(self.tree[0])?
+    }
+
+    /// Pop the row with the smallest head key across all runs.
+    fn pop(&mut self) -> Result<Option<Row>, JoinError> {
         let w = self.tree[0];
-        if w == EMPTY {
+        if self.peek_key().is_none() {
             return Ok(None);
         }
-        let Some((_, pair)) = self.heads[w].take() else {
-            return Ok(None);
-        };
-        self.heads[w] = self.runs[w].next()?.map(|p| (key_of(&p.0), p));
+        let row = self.runs[w].take();
+        self.keys[w] = self.runs[w].peek_key()?;
         self.replay(w);
-        Ok(Some(pair))
+        Ok(Some(row))
     }
 }
 
 /// Session metadata for the merge: sorted ascending by id, duplicates
-/// resolved last-wins (matching both in-RAM joins).
+/// resolved last-wins.
 fn sorted_metas(mut sessions: Vec<SessionMeta>) -> Vec<SessionMeta> {
     // Stable sort keeps insertion order within an id, so keeping the last
     // element of each equal-id group is exactly "last meta wins".
@@ -185,176 +242,112 @@ fn sorted_metas(mut sessions: Vec<SessionMeta>) -> Vec<SessionMeta> {
     out
 }
 
-/// A bounded-memory stream of joined sessions in ascending session-id
-/// order — the streaming twin of [`Dataset::assemble`].
+/// The joined sessions of a set of sinks, in ascending session-id order —
+/// the iterator [`crate::Dataset::assemble`] collects.
 ///
-/// Holds one row group per open segment plus the session currently being
-/// assembled; never the whole dataset. Yields `Err` at most once (the
-/// first invariant violation or segment read failure), after which the
-/// stream is exhausted.
+/// Besides the sinks' in-RAM arenas it takes over, holds one row group per
+/// open segment and the session currently being assembled. Yields `Err`
+/// at most once (the first join violation or segment read failure), after
+/// which the stream is exhausted.
 pub struct SessionStream {
     inner: StreamInner,
 }
 
 enum StreamInner {
     Merged(Box<Merged>),
-    /// Fallback for sinks that cannot be streamed: fully materialized
-    /// upfront (identical to the in-RAM assemble).
-    Materialized(std::vec::IntoIter<SessionData>),
-    Failed(Option<JoinError>),
+    /// Exhausted, with the error still to yield if opening failed.
+    Done(Option<JoinError>),
 }
 
 struct Merged {
     tree: LoserTree,
-    metas: std::vec::IntoIter<SessionMeta>,
-    next_meta: Option<SessionMeta>,
-    pending: Option<Pair>,
-    prev_key: Option<SortKey>,
-    done: bool,
+    metas: Peekable<IntoIter<SessionMeta>>,
+    /// The current session's chunks; moved out into an exactly sized
+    /// vector when the session is complete.
+    chunks: Vec<ChunkRecord>,
 }
 
 impl SessionStream {
-    /// Build a session stream from a sink (spilled or not).
-    pub fn new(sink: TelemetrySink) -> SessionStream {
-        match Self::try_new(sink) {
-            Ok(s) => s,
-            Err(e) => SessionStream {
-                inner: StreamInner::Failed(Some(e)),
-            },
-        }
+    /// Stream the join of `sinks` (spilled or not, in any order).
+    pub fn new(sinks: impl IntoIterator<Item = TelemetrySink>) -> SessionStream {
+        let inner = match Merged::open(sinks) {
+            Ok(m) => StreamInner::Merged(Box::new(m)),
+            Err(e) => StreamInner::Done(Some(e)),
+        };
+        SessionStream { inner }
     }
-
-    fn try_new(sink: TelemetrySink) -> Result<SessionStream, JoinError> {
-        if sink.sealed_segments().is_empty() {
-            let ds = Dataset::assemble(sink)?;
-            return Ok(SessionStream {
-                inner: StreamInner::Materialized(ds.sessions.into_iter()),
-            });
-        }
-        let (player, cdn, sessions, sealed) = sink.into_parts();
-
-        // The in-RAM tail joins the merge as one more run if it is
-        // engine-shaped: pairwise keyed and sortable. Otherwise fall back
-        // to the materialized reference join.
-        if player.len() != cdn.len()
-            || player
-                .iter()
-                .zip(&cdn)
-                .any(|(p, c)| (p.session, p.chunk) != (c.session, c.chunk))
-        {
-            let mut sink = TelemetrySink::from_parts(player, cdn, sessions, sealed);
-            sink.materialize()?;
-            let ds = Dataset::assemble(sink)?;
-            return Ok(SessionStream {
-                inner: StreamInner::Materialized(ds.sessions.into_iter()),
-            });
-        }
-
-        let mut runs = Vec::with_capacity(sealed.len() + 1);
-        for meta in &sealed {
-            runs.push(open_run(meta)?);
-        }
-        if !player.is_empty() {
-            let mut pairs: Vec<Pair> = player.into_iter().zip(cdn).collect();
-            pairs.sort_unstable_by_key(|a| key_of(&a.0));
-            runs.push(Run::Mem(pairs.into_iter()));
-        }
-        let metas = sorted_metas(sessions);
-        let mut metas = metas.into_iter();
-        let next_meta = metas.next();
-        Ok(SessionStream {
-            inner: StreamInner::Merged(Box::new(Merged {
-                tree: LoserTree::new(runs)?,
-                metas,
-                next_meta,
-                pending: None,
-                prev_key: None,
-                done: false,
-            })),
-        })
-    }
-}
-
-fn open_run(meta: &SegmentMeta) -> Result<Run, JoinError> {
-    let reader = SegmentReader::open(Path::new(&meta.path))
-        .map_err(|e| JoinError::Spill(format!("opening {}: {e}", meta.path)))?;
-    let h = reader.header();
-    if h.rows != meta.rows || h.shard != meta.shard || h.seq != meta.seq {
-        return Err(JoinError::Spill(format!(
-            "segment {} disagrees with its manifest entry",
-            meta.path
-        )));
-    }
-    Ok(Run::Segment {
-        reader,
-        buf: Vec::new().into_iter(),
-        path: meta.path.clone(),
-    })
 }
 
 impl Merged {
+    fn open(sinks: impl IntoIterator<Item = TelemetrySink>) -> Result<Merged, JoinError> {
+        let mut runs = Vec::new();
+        let mut metas = Vec::new();
+        for sink in sinks {
+            for meta in &sink.sealed {
+                runs.push(Run::segment(meta)?);
+            }
+            if !sink.player.is_empty() || !sink.cdn.is_empty() {
+                runs.push(Run::arena(sink.player, sink.cdn));
+            }
+            metas.extend(sink.sessions);
+        }
+        Ok(Merged {
+            tree: LoserTree::new(runs)?,
+            metas: sorted_metas(metas).into_iter().peekable(),
+            chunks: Vec::new(),
+        })
+    }
+
     fn next_session(&mut self) -> Result<Option<SessionData>, JoinError> {
-        // A pending pair was already key-checked when it popped (it is the
-        // previous window's lookahead); only fresh pops get checked here.
-        let first = match self.pending.take() {
-            Some(p) => p,
-            None => match self.tree.pop()? {
-                Some(p) => {
-                    self.check_key(key_of(&p.0))?;
-                    p
-                }
-                None => return Ok(None),
-            },
+        let Some((session, _)) = self.tree.peek_key() else {
+            return Ok(None);
         };
-        let session = first.0.session;
-        let mut chunks = vec![ChunkRecord {
-            player: first.0,
-            cdn: first.1,
-        }];
-        loop {
-            match self.tree.pop()? {
-                None => break,
-                Some(pair) => {
-                    let key = key_of(&pair.0);
-                    self.check_key(key)?;
-                    if pair.0.session != session {
-                        self.pending = Some(pair);
-                        break;
-                    }
-                    chunks.push(ChunkRecord {
-                        player: pair.0,
-                        cdn: pair.1,
-                    });
-                }
-            }
+        while let Some(key) = self.tree.peek_key().filter(|k| k.0 == session) {
+            let chunk = self.join_key(key)?;
+            self.chunks.push(chunk);
         }
-        // Advance the meta cursor to this session; metadata-only sessions
-        // with no chunks are dropped, like both in-RAM joins.
-        while self.next_meta.as_ref().is_some_and(|m| m.session < session) {
-            self.next_meta = self.metas.next();
-        }
-        let meta = match &self.next_meta {
-            Some(m) if m.session == session => {
-                let m = m.clone();
-                self.next_meta = self.metas.next();
-                m
-            }
-            _ => return Err(JoinError::MissingSessionMeta(session)),
-        };
+        let chunks = self.chunks.drain(..).collect();
+        // Metadata-only sessions with no chunks are dropped.
+        while self.metas.next_if(|m| m.session < session).is_some() {}
+        let meta = self
+            .metas
+            .next_if(|m| m.session == session)
+            .ok_or(JoinError::MissingSessionMeta(session))?;
         Ok(Some(SessionData { meta, chunks }))
     }
 
-    /// The per-window invariant check: the merged key sequence must
-    /// strictly ascend (each run strictly ascends, so a repeat across
-    /// runs is a duplicate record, never a sort bug).
-    fn check_key(&mut self, key: SortKey) -> Result<(), JoinError> {
-        if let Some(prev) = self.prev_key {
-            if key <= prev {
-                return Err(JoinError::DuplicateKey(key.0, key.1));
+    /// Take every row with key `key` and join them into one chunk.
+    fn join_key(&mut self, key: SortKey) -> Result<ChunkRecord, JoinError> {
+        let row = self.tree.pop()?.expect("peeked");
+        if self.tree.peek_key() != Some(key) {
+            if let Row::Joined(c) = row {
+                return Ok(c);
             }
         }
-        self.prev_key = Some(key);
-        Ok(())
+        // Halves from different runs, or repeated ones, meet here.
+        let (mut players, mut cdns) = (Vec::new(), Vec::new());
+        let mut next = Some(row);
+        while let Some(row) = next {
+            match row {
+                Row::Joined(c) => {
+                    players.push(c.player);
+                    cdns.push(c.cdn);
+                }
+                Row::Player(p) => players.push(p),
+                Row::Cdn(c) => cdns.push(c),
+            }
+            next = if self.tree.peek_key() == Some(key) {
+                self.tree.pop()?
+            } else {
+                None
+            };
+        }
+        match (players.pop(), cdns.pop()) {
+            _ if !cdns.is_empty() => Err(JoinError::DuplicateKey(key.0, key.1)),
+            (None, _) => Err(JoinError::OrphanCdnRecord(key.0, key.1)),
+            (Some(player), Some(cdn)) if players.is_empty() => Ok(ChunkRecord { player, cdn }),
+            _ => Err(JoinError::OrphanPlayerRecord(key.0, key.1)),
+        }
     }
 }
 
@@ -362,48 +355,19 @@ impl Iterator for SessionStream {
     type Item = Result<SessionData, JoinError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.inner {
-            StreamInner::Materialized(it) => it.next().map(Ok),
-            StreamInner::Failed(e) => e.take().map(Err),
-            StreamInner::Merged(m) => {
-                if m.done {
-                    return None;
-                }
-                match m.next_session() {
-                    Ok(Some(s)) => Some(Ok(s)),
-                    Ok(None) => {
-                        m.done = true;
-                        None
-                    }
-                    Err(e) => {
-                        m.done = true;
-                        Some(Err(e))
-                    }
-                }
-            }
+        let next = match &mut self.inner {
+            StreamInner::Done(e) => return e.take().map(Err),
+            StreamInner::Merged(m) => m.next_session(),
+        };
+        if !matches!(next, Ok(Some(_))) {
+            self.inner = StreamInner::Done(None);
         }
+        next.transpose()
     }
 }
 
-/// [`Dataset::assemble`] for a spilled sink: stream the k-way merge and
-/// collect the sessions. Byte-identical to the in-RAM path on
-/// engine-shaped input; reference-identical errors on single-violation
-/// faulted input.
-pub(crate) fn assemble_spilled(sink: TelemetrySink) -> Result<Dataset, JoinError> {
-    let mut sessions = Vec::new();
-    for s in SessionStream::new(sink) {
-        sessions.push(s?);
-    }
-    let raw = sessions.len();
-    Ok(Dataset {
-        sessions,
-        filtered_proxy_sessions: 0,
-        raw_sessions: raw,
-    })
-}
-
-/// Convenience for tests and manifest validation: check every sealed
-/// segment in `sealed` against its manifest entry (fingerprints included).
+/// Check every sealed segment in `sealed` against its manifest entry
+/// (fingerprints included).
 pub fn validate_sealed(sealed: &[SegmentMeta]) -> io::Result<()> {
     for meta in sealed {
         crate::segment::validate_segment(meta)?;
@@ -414,24 +378,18 @@ pub fn validate_sealed(sealed: &[SegmentMeta]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Dataset;
     use streamlab_workload::{ChunkIndex, SessionId};
 
     #[test]
     fn loser_tree_merges_three_runs() {
-        // Hand-built runs via Mem only: keys (session, chunk).
-        fn pair(s: u64, c: u32) -> Pair {
-            (mk_player(s, c), mk_cdn(s, c))
-        }
+        // Hand-built in-RAM runs: keys (session, chunk).
         let runs = vec![
-            Run::Mem(vec![pair(0, 0), pair(2, 0), pair(2, 1)].into_iter()),
-            Run::Mem(vec![pair(1, 0), pair(1, 1)].into_iter()),
-            Run::Mem(vec![pair(0, 1), pair(3, 0)].into_iter()),
+            arena(&[(0, 0), (2, 0), (2, 1)]),
+            arena(&[(1, 0), (1, 1)]),
+            arena(&[(0, 1), (3, 0)]),
         ];
-        let mut tree = LoserTree::new(runs).unwrap();
-        let mut keys = Vec::new();
-        while let Some(p) = tree.pop().unwrap() {
-            keys.push((p.0.session.0, p.0.chunk.0));
-        }
+        let keys = drain_keys(LoserTree::new(runs).unwrap());
         assert_eq!(
             keys,
             vec![(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0)]
@@ -479,8 +437,8 @@ mod tests {
             spilled.spill_errors()
         );
         assert!(spilled.sealed_segments().len() > 10);
-        let a = Dataset::assemble(ram).expect("in-RAM assemble");
-        let b = Dataset::assemble(spilled).expect("spilled assemble");
+        let a = Dataset::assemble([ram]).expect("in-RAM assemble");
+        let b = Dataset::assemble([spilled]).expect("spilled assemble");
         assert_eq!(a.sessions.len(), b.sessions.len());
         for (x, y) in a.sessions.iter().zip(&b.sessions) {
             assert_eq!(x.meta.session, y.meta.session);
@@ -499,20 +457,8 @@ mod tests {
                 stream.push((s, c));
             }
         }
-        let mut runs = Vec::new();
-        for batch in stream.chunks(64) {
-            let mut b: Vec<Pair> = batch
-                .iter()
-                .map(|&(s, c)| (mk_player(s, c), mk_cdn(s, c)))
-                .collect();
-            b.sort_unstable_by_key(|p| key_of(&p.0));
-            runs.push(Run::Mem(b.into_iter()));
-        }
-        let mut tree = LoserTree::new(runs).unwrap();
-        let mut keys = Vec::new();
-        while let Some(p) = tree.pop().unwrap() {
-            keys.push((p.0.session.0, p.0.chunk.0));
-        }
+        let runs = stream.chunks(64).map(arena).collect();
+        let keys = drain_keys(LoserTree::new(runs).unwrap());
         assert_eq!(keys.len(), 1000);
         let mut expect = stream.clone();
         expect.sort_unstable();
@@ -533,27 +479,42 @@ mod tests {
         }
         let mut runs = Vec::new();
         for (i, batch) in stream.chunks(64).enumerate() {
-            let mut b: Vec<Pair> = batch
-                .iter()
-                .map(|&(s, c)| (mk_player(s, c), mk_cdn(s, c)))
-                .collect();
-            b.sort_unstable_by_key(|p| key_of(&p.0));
-            let (p, c): (Vec<_>, Vec<_>) = b.into_iter().unzip();
+            let mut batch = batch.to_vec();
+            batch.sort_unstable();
+            let p: Vec<_> = batch.iter().map(|&(s, c)| mk_player(s, c)).collect();
+            let c: Vec<_> = batch.iter().map(|&(s, c)| mk_cdn(s, c)).collect();
             let path = dir.join(format!("seg-00000-{i:05}.slseg"));
             let meta = crate::segment::write_segment(&Storage::real(), &path, 0, i as u32, &p, &c)
                 .unwrap();
-            runs.push(open_run(&meta).unwrap());
+            runs.push(Run::segment(&meta).unwrap());
         }
-        let mut tree = LoserTree::new(runs).unwrap();
-        let mut keys = Vec::new();
-        while let Some(p) = tree.pop().unwrap() {
-            keys.push((p.0.session.0, p.0.chunk.0));
-        }
+        let keys = drain_keys(LoserTree::new(runs).unwrap());
         let mut expect = stream.clone();
         expect.sort_unstable();
         assert_eq!(keys.len(), 1000, "row count");
         assert_eq!(keys, expect);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An in-RAM run holding both halves of every `(session, chunk)` key,
+    /// pushed in the given order.
+    fn arena(keys: &[(u64, u32)]) -> Run {
+        Run::arena(
+            keys.iter().map(|&(s, c)| mk_player(s, c)).collect(),
+            keys.iter().map(|&(s, c)| mk_cdn(s, c)).collect(),
+        )
+    }
+
+    /// Pop every row of a merge, asserting each one joined.
+    fn drain_keys(mut tree: LoserTree) -> Vec<(u64, u32)> {
+        let mut keys = Vec::new();
+        while let Some(row) = tree.pop().unwrap() {
+            let Row::Joined(c) = row else {
+                panic!("unpaired row")
+            };
+            keys.push((c.player.session.0, c.player.chunk.0));
+        }
+        keys
     }
 
     pub(super) fn mk_meta(s: u64) -> SessionMeta {

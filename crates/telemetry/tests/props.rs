@@ -136,7 +136,7 @@ proptest! {
             sink.cdn_chunk(r);
         }
         let expected_chunks: usize = sessions.iter().map(|(c, _)| *c as usize).sum();
-        let ds = Dataset::join(sink).expect("consistent streams must join");
+        let ds = Dataset::assemble([sink]).expect("consistent streams must join");
         prop_assert_eq!(ds.sessions.len(), sessions.len());
         prop_assert_eq!(ds.chunk_count(), expected_chunks);
         // Sessions sorted by id, chunks contiguous from 0.
@@ -172,7 +172,7 @@ proptest! {
                 }
             }
         }
-        let err = Dataset::join(sink).expect_err("orphan player record");
+        let err = Dataset::assemble([sink]).expect_err("orphan player record");
         prop_assert_eq!(
             err,
             JoinError::OrphanPlayerRecord(SessionId(drop_session), ChunkIndex(drop_chunk))
@@ -199,7 +199,7 @@ proptest! {
                 }
             }
         }
-        let err = Dataset::join(sink).expect_err("duplicate record");
+        let err = Dataset::assemble([sink]).expect_err("duplicate record");
         prop_assert_eq!(
             err,
             JoinError::DuplicateKey(SessionId(dup_session), ChunkIndex(dup_chunk))
@@ -208,9 +208,9 @@ proptest! {
 
     /// The invariant the sharded simulation engine rests on: splitting the
     /// session set into per-shard sinks (any assignment of sessions to
-    /// shards, absorbed back in any shard order) must reproduce the
-    /// unpartitioned join exactly — same sessions, same per-session chunk
-    /// ordering, same total request count.
+    /// shards, handed to the join in either shard order) must reproduce
+    /// the unpartitioned join exactly — same sessions, same per-session
+    /// chunk ordering, same total request count.
     #[test]
     fn any_partition_of_sessions_joins_identically(
         sessions in proptest::collection::vec((1u32..12, 0u8..8), 1..30),
@@ -235,19 +235,13 @@ proptest! {
             }
         }
 
-        let mut merged = TelemetrySink::new();
-        if reverse_merge {
-            for s in shards.into_iter().rev() {
-                merged.absorb(s);
-            }
+        let expected = Dataset::assemble([reference]).expect("reference join");
+        let got = if reverse_merge {
+            Dataset::assemble(shards.into_iter().rev())
         } else {
-            for s in shards {
-                merged.absorb(s);
-            }
+            Dataset::assemble(shards)
         }
-
-        let expected = Dataset::join(reference).expect("reference join");
-        let got = Dataset::join(merged).expect("merged join");
+        .expect("partitioned join");
 
         prop_assert_eq!(got.sessions.len(), expected.sessions.len());
         prop_assert_eq!(got.chunk_count(), expected.chunk_count());

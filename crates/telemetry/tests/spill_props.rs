@@ -9,9 +9,9 @@
 //! 2. Streaming assembly is observationally identical to the in-RAM
 //!    joins: a spilled sink drained through [`SessionStream`] or joined
 //!    through [`Dataset::assemble`] produces the same dataset bytes (or
-//!    the same [`JoinError`]) as `assemble` and `join_reference` on an
-//!    identical in-RAM sink — over engine-shaped, shuffled, and faulted
-//!    streams alike. (Error parity is only guaranteed for single-violation
+//!    the same [`JoinError`]) as `assemble` on an identical in-RAM sink
+//!    and as the reference join (`support::join_reference`) on the raw
+//!    records — over engine-shaped, shuffled, and faulted streams alike. (Error parity is only guaranteed for single-violation
 //!    streams: with several violations the paths may legitimately detect
 //!    a different one first, so the generators inject at most one fault.)
 //! 3. Segment sealing degrades, never dies: a crash-point sweep over every
@@ -20,6 +20,8 @@
 //!    claims sealed passing fingerprint validation and no torn `.slseg`
 //!    file visible on disk.
 
+mod support;
+
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -27,15 +29,10 @@ use proptest::prelude::*;
 use streamlab_net::TcpInfo;
 use streamlab_sim::{SimDuration, SimTime};
 use streamlab_supervisor::{Storage, StorageFaultPlan};
-use streamlab_telemetry::records::{
-    CacheOutcome, CdnChunkRecord, ChunkTruth, PlayerChunkRecord, SessionMeta,
-};
+use streamlab_telemetry::records::{CdnChunkRecord, PlayerChunkRecord, SessionMeta};
 use streamlab_telemetry::segment::{read_segment, validate_segment, write_segment};
 use streamlab_telemetry::{Dataset, JoinError, SessionStream, SpillSpec, TelemetrySink};
-use streamlab_workload::{
-    AccessClass, Browser, ChunkIndex, GeoPoint, OrgKind, Os, PopId, PrefixId, Region, ServerId,
-    SessionId, VideoId,
-};
+use support::{cdn, join_reference, meta, mix, player};
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -49,91 +46,6 @@ fn scratch() -> PathBuf {
     ));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
-}
-
-fn meta(id: u64) -> SessionMeta {
-    SessionMeta {
-        session: SessionId(id),
-        prefix: PrefixId(id % 7),
-        video: VideoId(id % 5),
-        video_secs: 120.0,
-        os: Os::Windows,
-        browser: Browser::Chrome,
-        org: "R".into(),
-        org_kind: OrgKind::Residential,
-        access: AccessClass::Cable,
-        region: Region::UnitedStates,
-        location: GeoPoint {
-            lat: 40.0,
-            lon: -75.0,
-        },
-        pop: PopId(id % 3),
-        server: ServerId(id % 9),
-        distance_km: 25.0,
-        arrival: SimTime::from_secs(3_600 + id * 900),
-        startup_delay_s: 0.9,
-        proxied: false,
-        ua_mismatch: false,
-        gpu: true,
-        visible: true,
-    }
-}
-
-fn player(id: u64, c: u32) -> PlayerChunkRecord {
-    PlayerChunkRecord {
-        session: SessionId(id),
-        chunk: ChunkIndex(c),
-        bitrate_kbps: 2050,
-        requested_at: SimTime::from_secs(id + u64::from(c) * 4),
-        d_fb: SimDuration::from_millis(90),
-        d_lb: SimDuration::from_millis(700),
-        chunk_secs: 4.0,
-        buf_count: 0,
-        buf_dur: SimDuration::ZERO,
-        visible: true,
-        avg_fps: 30.0,
-        dropped_frames: 0,
-        frames: 120,
-        truth: ChunkTruth::default(),
-    }
-}
-
-fn cdn(id: u64, c: u32) -> CdnChunkRecord {
-    CdnChunkRecord {
-        session: SessionId(id),
-        chunk: ChunkIndex(c),
-        d_wait: SimDuration::from_micros(150),
-        d_open: SimDuration::from_micros(250),
-        d_read: SimDuration::from_millis(3),
-        d_backend: SimDuration::ZERO,
-        cache: CacheOutcome::DiskHit,
-        retry_fired: false,
-        size_bytes: 1_025_000,
-        served_at: SimTime::from_secs(id + u64::from(c) * 4),
-        segments: 700,
-        retx_segments: 1,
-        tcp: vec![TcpInfo {
-            at: SimTime::from_secs(id),
-            srtt: SimDuration::from_millis(35),
-            rttvar: SimDuration::from_millis(3),
-            cwnd: 40,
-            retx_total: 1,
-            segs_out_total: 700,
-            mss: 1460,
-        }],
-    }
-}
-
-/// Deterministic pseudo-shuffle shared by all streams of a case.
-fn mix<T>(v: &mut [T], seed: u64) {
-    let n = v.len();
-    for i in 0..n {
-        let j = (seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(i as u64)
-            % n.max(1) as u64) as usize;
-        v.swap(i, j);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -305,7 +217,7 @@ fn spilled_sink(
 /// return, stopping at the first violation like they do.
 fn drain_stream(sink: TelemetrySink) -> Result<Dataset, JoinError> {
     let mut sessions = Vec::new();
-    for item in SessionStream::new(sink) {
+    for item in SessionStream::new([sink]) {
         sessions.push(item?);
     }
     let raw = sessions.len();
@@ -326,21 +238,21 @@ fn outcome_json(label: &str, r: &Result<Dataset, JoinError>) -> Result<String, S
     }
 }
 
-/// Assert the four join paths — in-RAM `assemble`, `join_reference`, a
-/// spilled `assemble`, and a spilled [`SessionStream`] drain — agree on
-/// identical record streams: same dataset bytes for Ok, same error for
-/// Err.
+/// Assert the three join paths — in-RAM `assemble`, a spilled
+/// `assemble`, and a spilled [`SessionStream`] drain — agree with the
+/// reference join on identical record streams: same dataset bytes for Ok,
+/// same error for Err.
 fn assert_spill_equivalent(
     metas: &[SessionMeta],
     players: &[PlayerChunkRecord],
     cdns: &[CdnChunkRecord],
     threshold: usize,
 ) {
-    let reference = Dataset::join_reference(in_ram_sink(metas, players, cdns));
-    let fast = Dataset::assemble(in_ram_sink(metas, players, cdns));
+    let reference = join_reference(metas, players, cdns);
+    let fast = Dataset::assemble([in_ram_sink(metas, players, cdns)]);
     let (sink_a, dir_a) = spilled_sink(metas, players, cdns, threshold);
     let spilled_segments = sink_a.sealed_segments().len();
-    let spilled = Dataset::assemble(sink_a);
+    let spilled = Dataset::assemble([sink_a]);
     let (sink_b, dir_b) = spilled_sink(metas, players, cdns, threshold);
     let streamed = drain_stream(sink_b);
 
@@ -412,10 +324,11 @@ proptest! {
     }
 
     /// Single-fault streams — a dropped CDN record, dropped metadata, a
-    /// duplicated record, or a sparse id space — must fail (or degrade)
-    /// identically through all four paths. Duplicates can also make a
-    /// flush non-strictly-ascending, exercising the seal-failure
-    /// keep-rows-in-RAM path under an otherwise healthy filesystem.
+    /// duplicated record, or a sparse id space — must fail (or join)
+    /// identically through all three paths and the reference. Duplicates
+    /// can also make a flush non-strictly-ascending, exercising the
+    /// seal-failure keep-rows-in-RAM path under an otherwise healthy
+    /// filesystem.
     #[test]
     fn faulted_spill_matches_reference(
         sessions in proptest::collection::vec(1u32..8, 1..12),
@@ -454,7 +367,7 @@ proptest! {
                 let dup = players[i].clone();
                 players.push(dup);
             }
-            _ => {} // sparse ids alone (stride > 1 exercises the guard)
+            _ => {} // sparse ids alone
         }
         assert_spill_equivalent(&metas, &players, &cdns, threshold);
     }
@@ -513,8 +426,7 @@ fn spill_with_storage(
 #[test]
 fn crash_at_every_seal_failpoint_degrades_without_data_loss() {
     let (metas, players, cdns) = sweep_records();
-    let reference =
-        Dataset::join_reference(in_ram_sink(&metas, &players, &cdns)).expect("reference join");
+    let reference = join_reference(&metas, &players, &cdns).expect("reference join");
     let want = serde_json::to_string(&reference).expect("serialize reference");
 
     // Clean run on a counting handle: enumerates the failpoints and
@@ -533,7 +445,7 @@ fn crash_at_every_seal_failpoint_degrades_without_data_loss() {
         clean.sealed_segments().len()
     );
     assert!(clean.spill_errors().is_empty());
-    let got = serde_json::to_string(&Dataset::assemble(clean).expect("clean spilled join"))
+    let got = serde_json::to_string(&Dataset::assemble([clean]).expect("clean spilled join"))
         .expect("serialize");
     assert_eq!(got, want, "clean spilled join diverges from reference");
     std::fs::remove_dir_all(&clean_dir).ok();
@@ -574,7 +486,7 @@ fn crash_at_every_seal_failpoint_degrades_without_data_loss() {
         }
 
         // Degrade, don't die: the join still sees every record.
-        let ds = Dataset::assemble(sink)
+        let ds = Dataset::assemble([sink])
             .unwrap_or_else(|e| panic!("crash at op {at}: join failed: {e:?}"));
         let got = serde_json::to_string(&ds).expect("serialize");
         assert_eq!(

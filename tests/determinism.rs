@@ -1,4 +1,4 @@
-//! Cross-thread-count determinism: the sharded engine's contract is that
+//! Cross-thread-count determinism: the engine's contract is that
 //! `threads` is purely a wall-clock knob. The same seed must produce a
 //! **byte-identical** serialized dataset and identical per-server reports
 //! at every thread count.

@@ -1,6 +1,6 @@
 //! Golden-snapshot regression tests for the headline paper shapes.
 //!
-//! A fixed run (`SimulationConfig::tiny(2016)`, sequential engine) is
+//! A fixed run (`SimulationConfig::tiny(2016)`, one worker) is
 //! summarized into a handful of scalar metrics and compared against the
 //! committed snapshot in `tests/golden/paper_shapes.json`. The run is
 //! fully deterministic, but comparisons use explicit tolerances so that
