@@ -1,8 +1,10 @@
 //! A byte-capacity cache with pluggable eviction.
 
-use super::{EvictionPolicy, ObjectKey};
+use super::base::WarmBase;
+use super::{EvictionPolicy, ObjectKey, MANIFEST_BYTES};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeSet;
+use streamlab_workload::{ChunkIndex, Video, VideoId};
 
 /// Slab sentinel for "no node".
 const NIL: u32 = u32::MAX;
@@ -137,6 +139,16 @@ enum OrderIndex {
 /// determinism note in `rustc-hash`); the policy decides the shape of the
 /// eviction-order index (`OrderIndex`). Eviction pops the lowest-priority
 /// (or oldest) entry, skipping pinned entries.
+///
+/// What [`ByteCache::warm`] installs lives in an implicit warm base (one
+/// bit per object) rather than in the entry table; every operation
+/// treats base entries as present, and a touched base entry moves into
+/// the table. The base is older than every unpinned table entry and its
+/// entries were all inserted at frequency 0, so under LRU, FIFO and
+/// Perfect-LFU its oldest live entry is the victim whenever it has one;
+/// under GD-Size the victim is whichever of the base's and the table's
+/// lowest `(priority, tick)` keys is lower. Results, ticks and the GD
+/// inflation are exactly those of the materialized cache.
 #[derive(Debug, Clone)]
 pub struct ByteCache {
     policy: EvictionPolicy,
@@ -152,11 +164,21 @@ pub struct ByteCache {
     gd_inflation: u64,
     hits: u64,
     misses: u64,
+    base: Option<WarmBase>,
 }
+
+/// Warm-up stops adding chunks to a tier once it is this full.
+const WARM_FILL: f64 = 0.9;
 
 /// GD-Size priorities are fractional; scale into integers for the ordered
 /// set. One unit = 1/GD_SCALE of "cost per byte".
 const GD_SCALE: f64 = 1.0e12;
+
+/// GD-Size priority of an object of `size` bytes under inflation `l`:
+/// `L + cost/size`, with unit cost per object.
+fn gd_priority(l: u64, size: u64) -> u64 {
+    (l as f64 + GD_SCALE / size.max(1) as f64) as u64
+}
 
 impl ByteCache {
     /// An empty cache of `capacity` bytes under `policy`.
@@ -178,6 +200,7 @@ impl ByteCache {
             gd_inflation: 0,
             hits: 0,
             misses: 0,
+            base: None,
         }
     }
 
@@ -193,12 +216,12 @@ impl ByteCache {
 
     /// Number of objects stored.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.len() + self.base.as_ref().map_or(0, WarmBase::len)
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Lifetime (hits, misses) counters from `lookup`.
@@ -219,11 +242,7 @@ impl ByteCache {
                 let f = *self.freq.get(&key).unwrap_or(&0);
                 (f, self.next_tick())
             }
-            EvictionPolicy::GdSize => {
-                // priority = L + cost/size, with unit cost per object.
-                let prio = self.gd_inflation as f64 + GD_SCALE / size.max(1) as f64;
-                (prio as u64, self.next_tick())
-            }
+            EvictionPolicy::GdSize => (gd_priority(self.gd_inflation, size), self.next_tick()),
         }
     }
 
@@ -262,6 +281,10 @@ impl ByteCache {
             self.hits += 1;
             self.reorder(key);
             true
+        } else if let Some(pos) = self.base_find(key) {
+            self.hits += 1;
+            self.touch_base(pos);
+            true
         } else {
             self.misses += 1;
             false
@@ -270,28 +293,33 @@ impl ByteCache {
 
     /// Presence check without touching stats or ordering.
     pub fn contains(&self, key: ObjectKey) -> bool {
-        self.entries.contains_key(&key)
+        self.entries.contains_key(&key) || self.base_find(key).is_some()
     }
 
-    /// Insert `key` (`size` bytes), evicting until it fits. Returns the
-    /// evicted `(key, size)` pairs so callers can demote them to a lower
-    /// tier. Objects larger than the whole capacity are not admitted.
-    /// Re-inserting an existing key refreshes it.
-    pub fn insert(&mut self, key: ObjectKey, size: u64) -> Vec<(ObjectKey, u64)> {
-        if size > self.capacity {
-            return Vec::new();
+    fn base_find(&self, key: ObjectKey) -> Option<usize> {
+        self.base.as_ref()?.find(key)
+    }
+
+    /// A base entry was accessed: under every policy but FIFO it leaves
+    /// the base for the entry table with a fresh order key, just as
+    /// `reorder` re-keys a table entry.
+    fn touch_base(&mut self, pos: usize) {
+        if self.policy == EvictionPolicy::Fifo {
+            return;
         }
-        if self.entries.contains_key(&key) {
-            self.reorder(key);
-            return Vec::new();
-        }
-        let mut evicted = Vec::new();
-        while self.used + size > self.capacity {
-            match self.pop_victim() {
-                Some(victim) => evicted.push(victim),
-                None => return evicted, // everything pinned; cannot admit
-            }
-        }
+        let (key, size) = self.take_base(pos);
+        self.push_entry(key, size);
+    }
+
+    /// Remove the base entry at `pos`, keeping `used` unchanged.
+    fn take_base(&mut self, pos: usize) -> (ObjectKey, u64) {
+        let base = self.base.as_mut().expect("base position without a base");
+        base.kill(pos);
+        base.entry(pos)
+    }
+
+    /// Add an unpinned table entry at the young end of the order index.
+    fn push_entry(&mut self, key: ObjectKey, size: u64) {
         let (order_key, node) = match &mut self.order {
             OrderIndex::List(list) => ((0, 0), list.push_back(key)),
             OrderIndex::Tree(_) => {
@@ -312,8 +340,130 @@ impl ByteCache {
                 pinned: false,
             },
         );
+    }
+
+    /// Insert `key` (`size` bytes), evicting until it fits. Returns the
+    /// evicted `(key, size)` pairs so callers can demote them to a lower
+    /// tier. Objects larger than the whole capacity are not admitted.
+    /// Re-inserting an existing key refreshes it.
+    pub fn insert(&mut self, key: ObjectKey, size: u64) -> Vec<(ObjectKey, u64)> {
+        if size > self.capacity {
+            return Vec::new();
+        }
+        if self.entries.contains_key(&key) {
+            self.reorder(key);
+            return Vec::new();
+        }
+        if let Some(pos) = self.base_find(key) {
+            self.touch_base(pos);
+            return Vec::new();
+        }
+        let mut evicted = Vec::new();
+        while self.used + size > self.capacity {
+            match self.pop_victim() {
+                Some(victim) => evicted.push(victim),
+                None => return evicted, // everything pinned; cannot admit
+            }
+        }
+        self.push_entry(key, size);
         self.used += size;
         evicted
+    }
+
+    /// Warm the cache to steady state with `videos` in order: each one's
+    /// manifest, then — unless the cache is already ~90 % full — chunks
+    /// `0..chunks` at each of `rungs`. Identical in effect to inserting
+    /// those objects one by one, but held as an implicit warm base in
+    /// O(videos × rungs) time and one bit per object.
+    ///
+    /// The base describes only insertions that evict nothing, at
+    /// distinct rungs, into a cache that has no base yet, whose table
+    /// holds nothing but pins, and which has neither Perfect-LFU history
+    /// nor GD-Size inflation. Past the first video that would evict (a
+    /// long video meeting a nearly full tier, after which little but
+    /// manifests remains), and for a cache in any other state, the
+    /// objects are inserted one by one.
+    pub fn warm(&mut self, videos: &[(&Video, u32)], rungs: &[u32]) {
+        let mut lazy = self.base.is_none()
+            && self.freq.is_empty()
+            && self.gd_inflation == 0
+            && self.entries.values().all(|e| e.pinned)
+            && rungs
+                .iter()
+                .enumerate()
+                .all(|(i, r)| !rungs[..i].contains(r));
+        let mut held: FxHashMap<VideoId, Vec<ObjectKey>> = FxHashMap::default();
+        if lazy {
+            self.base = Some(WarmBase::new(rungs, self.tick + 1));
+            for &key in self.entries.keys() {
+                held.entry(key.video).or_default().push(key);
+            }
+        }
+        for &(video, chunks) in videos {
+            if lazy {
+                lazy = self.warm_lazily(video, chunks, rungs, held.get(&video.id));
+                if lazy {
+                    continue;
+                }
+            }
+            self.insert(ObjectKey::manifest(video.id), MANIFEST_BYTES);
+            if self.used as f64 >= WARM_FILL * self.capacity as f64 {
+                continue;
+            }
+            for &rung in rungs {
+                for c in 0..chunks {
+                    let chunk = ChunkIndex(c);
+                    let key = ObjectKey {
+                        video: video.id,
+                        chunk,
+                        bitrate_kbps: rung,
+                    };
+                    self.insert(key, video.chunk_bytes(chunk, rung));
+                }
+            }
+        }
+    }
+
+    /// Append `video` to the warm base if inserting it would evict
+    /// nothing; `held` lists the keys of `video` the table already holds
+    /// (pins), which a warm insert merely refreshes.
+    fn warm_lazily(
+        &mut self,
+        video: &Video,
+        chunks: u32,
+        rungs: &[u32],
+        held: Option<&Vec<ObjectKey>>,
+    ) -> bool {
+        let held = held.map_or(&[][..], Vec::as_slice);
+        let base = self.base.as_mut().expect("lazy warm-up has a base");
+        if base.has_video(video.id) {
+            return false;
+        }
+        let mut bytes = MANIFEST_BYTES;
+        let chunks = if (self.used + bytes) as f64 >= WARM_FILL * self.capacity as f64 {
+            0
+        } else {
+            chunks
+        };
+        bytes += rungs
+            .iter()
+            .map(|&r| WarmBase::rung_bytes(video, chunks, r))
+            .sum::<u64>();
+        let in_block = |k: &&ObjectKey| {
+            k.is_manifest() || (k.chunk.raw() < chunks && rungs.contains(&k.bitrate_kbps))
+        };
+        bytes -= held
+            .iter()
+            .filter(in_block)
+            .map(|k| self.entries[k].size)
+            .sum::<u64>();
+        if self.used + bytes > self.capacity {
+            return false;
+        }
+        base.push(video, chunks, held);
+        self.used += bytes;
+        self.tick += 1 + (rungs.len() * chunks as usize) as u64;
+        true
     }
 
     /// Drop every entry at once (a process restart losing its in-memory
@@ -322,6 +472,7 @@ impl ByteCache {
     /// but pins are lost with the entries that held them.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.base = None;
         match &mut self.order {
             OrderIndex::List(list) => list.clear(),
             OrderIndex::Tree(tree) => tree.clear(),
@@ -332,6 +483,12 @@ impl ByteCache {
     /// Pin `key` so it is never evicted (used by the "cache the first chunk
     /// of every video" policy). No-op if absent.
     pub fn pin(&mut self, key: ObjectKey) {
+        if let Some(pos) = self.base_find(key) {
+            // A pinned entry is never a victim, so its place in the order
+            // no longer matters: it can leave the base.
+            let (key, size) = self.take_base(pos);
+            self.push_entry(key, size);
+        }
         if let Some(e) = self.entries.get_mut(&key) {
             e.pinned = true;
         }
@@ -348,6 +505,10 @@ impl ByteCache {
             }
             self.used -= e.size;
             true
+        } else if let Some(pos) = self.base_find(key) {
+            let (_, size) = self.take_base(pos);
+            self.used -= size;
+            true
         } else {
             false
         }
@@ -355,6 +516,11 @@ impl ByteCache {
 
     /// Evict the policy's victim, skipping pinned entries.
     fn pop_victim(&mut self) -> Option<(ObjectKey, u64)> {
+        if let Some(pos) = self.base_victim() {
+            let (key, size) = self.take_base(pos);
+            self.used -= size;
+            return Some((key, size));
+        }
         let key = match &self.order {
             OrderIndex::List(list) => {
                 let mut idx = list.head;
@@ -389,5 +555,27 @@ impl ByteCache {
             self.gd_inflation = e.order_key.0;
         }
         Some((key, e.size))
+    }
+
+    /// The base position to evict next, if the victim is a base entry.
+    fn base_victim(&mut self) -> Option<usize> {
+        let base = self.base.as_mut()?;
+        if self.policy != EvictionPolicy::GdSize {
+            return base.oldest();
+        }
+        // Base entries were keyed while the inflation was still 0.
+        let (prio, pos) = base.cheapest(|size| gd_priority(0, size))?;
+        let OrderIndex::Tree(tree) = &self.order else {
+            unreachable!("GD-Size orders by tree")
+        };
+        let table_first = tree
+            .iter()
+            .find(|(_, k)| !self.entries.get(k).map(|e| e.pinned).unwrap_or(false))
+            .map(|&(ok, _)| ok);
+        if table_first.is_some_and(|ok| ok < (prio, base.tick(pos))) {
+            return None;
+        }
+        self.gd_inflation = prio;
+        Some(pos)
     }
 }

@@ -6,6 +6,7 @@
 //! or perfect-LFU would fit the popularity-heavy workload better, so those
 //! policies are implemented too and exercised by the ablation bench.
 
+mod base;
 mod bytecache;
 mod object;
 mod tiered;
@@ -222,6 +223,30 @@ mod tests {
         for i in 0..100 {
             assert!(t.should_admit(key(i, 0), &mut rng));
         }
+    }
+
+    #[test]
+    fn warm_checks_fullness_after_the_manifest() {
+        use streamlab_workload::Video;
+        let video = |id, duration_s| Video {
+            id: VideoId(id),
+            duration_s,
+        };
+        let (a, b) = (video(1, 60.0), video(2, 6.0));
+        // After `a` (manifest + ten 75 kB chunks) the tier sits just under
+        // 90 %; `b`'s manifest tips it over, so `b`'s chunk is skipped.
+        let mut c = ByteCache::new(EvictionPolicy::Lru, 846_987);
+        c.warm(&[(&a, 10), (&b, 1)], &[100]);
+        let chunk = |v: &Video| ObjectKey {
+            video: v.id,
+            chunk: ChunkIndex(0),
+            bitrate_kbps: 100,
+        };
+        assert!(c.contains(chunk(&a)));
+        assert!(c.contains(ObjectKey::manifest(b.id)));
+        assert!(!c.contains(chunk(&b)));
+        assert_eq!(c.used(), 8_192 * 2 + 75_000 * 10);
+        assert_eq!(c.len(), 12);
     }
 
     #[test]

@@ -4,6 +4,7 @@ use super::{ByteCache, EvictionPolicy, ObjectKey};
 use crate::ats::CacheStatus;
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
+use streamlab_workload::Video;
 
 /// Cache admission policy: which backend fills are worth caching at all.
 ///
@@ -49,7 +50,7 @@ impl Default for TieredCacheConfig {
 /// Movement counters for the two-tier cache: how much churn the serve
 /// path generated. Deterministic (pure functions of the request stream),
 /// aggregated across servers in canonical order by the observability
-/// layer. Warming (`fill_disk` / `fill_ram`) is not counted — it happens
+/// layer. Warming ([`TieredCache::warm`]) is not counted — it happens
 /// once before the event loop and is not churn.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TierChurn {
@@ -82,10 +83,20 @@ pub struct TieredCache {
 impl TieredCache {
     /// Build from config.
     pub fn new(cfg: TieredCacheConfig) -> Self {
+        Self::from_tiers(
+            ByteCache::new(cfg.policy, cfg.ram_bytes),
+            ByteCache::new(cfg.policy, cfg.disk_bytes),
+            cfg.admission,
+        )
+    }
+
+    /// Assemble from two tiers built elsewhere (a RAM tier in front of a
+    /// disk tier), with fresh admission state and churn counters.
+    pub fn from_tiers(ram: ByteCache, disk: ByteCache, admission: AdmissionPolicy) -> Self {
         TieredCache {
-            ram: ByteCache::new(cfg.policy, cfg.ram_bytes),
-            disk: ByteCache::new(cfg.policy, cfg.disk_bytes),
-            admission: cfg.admission,
+            ram,
+            disk,
+            admission,
             seen: FxHashMap::default(),
             churn: TierChurn::default(),
         }
@@ -150,14 +161,12 @@ impl TieredCache {
         }
     }
 
-    /// Install into the disk tier only (cache warming).
-    pub fn fill_disk(&mut self, key: ObjectKey, size: u64) {
-        self.disk.insert(key, size);
-    }
-
-    /// Install into the RAM tier only (cache warming; no demotion churn).
-    pub fn fill_ram(&mut self, key: ObjectKey, size: u64) {
-        self.ram.insert(key, size);
+    /// Warm both tiers to steady state (see [`ByteCache::warm`]): the
+    /// disk tier with `videos` at `disk_rungs`, then the RAM tier with the
+    /// same videos at `ram_rungs`. No churn is counted.
+    pub fn warm(&mut self, videos: &[(&Video, u32)], disk_rungs: &[u32], ram_rungs: &[u32]) {
+        self.disk.warm(videos, disk_rungs);
+        self.ram.warm(videos, ram_rungs);
     }
 
     /// Wipe the RAM tier (a server restart: memory contents are lost, the

@@ -675,7 +675,7 @@ impl Setup {
         };
 
         let mut fleet = CdnFleet::new(cfg.fleet.clone(), seed);
-        fleet.warm_parallel(&catalog, cfg.threads.max(1));
+        fleet.warm(&catalog);
         fleet.install_faults(&cfg.faults);
         // Harness faults: shard jobs covering these PoPs/servers panic at
         // start (or wedge, for the stall variants).

@@ -23,7 +23,7 @@
 //! plan), while the `*_in` variants take an explicit handle so tests can
 //! inject faults without sharing global state.
 
-use crate::failpoint::{ambient_storage, Storage, StorageOps};
+use crate::failpoint::{ambient_storage, StagingWriter, Storage, StorageOps};
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -157,7 +157,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// ambient [`Storage`]. See [`atomic_write_with_in`].
 pub fn atomic_write_with<F>(path: &Path, write: F) -> io::Result<()>
 where
-    F: FnOnce(&mut fs::File) -> io::Result<()>,
+    F: FnOnce(&mut StagingWriter<'_>) -> io::Result<()>,
 {
     atomic_write_with_in(&ambient_storage(), path, write)
 }
@@ -170,7 +170,9 @@ pub fn atomic_write_in(storage: &Storage, path: &Path, bytes: &[u8]) -> io::Resu
 
 /// Atomically replace `path` with whatever `write` produces.
 ///
-/// The closure receives the staging [`fs::File`]; on success the file is
+/// The closure receives the staging file behind a [`StagingWriter`],
+/// which buffers its writes; the write stage flushes them, so a failed
+/// flush is a [`WriteStage::Write`] error. On success the file is
 /// fsynced and renamed over `path`, and the parent directory is fsynced
 /// so the rename survives power loss. On any pre-rename error the
 /// staging file is removed and `path` is untouched. Staging-file
@@ -186,7 +188,7 @@ pub fn atomic_write_in(storage: &Storage, path: &Path, bytes: &[u8]) -> io::Resu
 /// deterministically.
 pub fn atomic_write_with_in<F>(storage: &Storage, path: &Path, write: F) -> io::Result<()>
 where
-    F: FnOnce(&mut fs::File) -> io::Result<()>,
+    F: FnOnce(&mut StagingWriter<'_>) -> io::Result<()>,
 {
     let name = path.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
         io::Error::new(
@@ -315,6 +317,22 @@ mod tests {
             leftovers.is_empty(),
             "leftover staging files: {leftovers:?}"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn buffered_and_direct_file_writes_keep_their_order() {
+        let dir = scratch("order");
+        let path = dir.join("out.txt");
+        atomic_write_with(&path, |f| {
+            f.write_all(b"ab")?;
+            // Reaching the file itself flushes what the buffer holds.
+            let file: &mut fs::File = f;
+            file.write_all(b"cd")?;
+            f.write_all(b"ef")
+        })
+        .expect("write");
+        assert_eq!(fs::read(&path).unwrap(), b"abcdef");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -36,7 +36,8 @@
 use serde::Value;
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, BufWriter, Write};
+use std::ops::{Deref, DerefMut};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -563,6 +564,63 @@ impl Storage {
     }
 }
 
+/// The staging file as a writer closure sees it: writes are buffered,
+/// and the storage `write` stage flushes them before it reports, so a
+/// failed flush is a failed write stage.
+///
+/// It dereferences to the underlying [`fs::File`] for callers that need
+/// the file itself. Mutable access flushes the pending bytes first (a
+/// flush error surfaces when the stage ends), so bytes written through
+/// the file land after those written through the buffer.
+pub struct StagingWriter<'a> {
+    buf: BufWriter<&'a mut fs::File>,
+    deferred: Option<io::Error>,
+}
+
+impl<'a> StagingWriter<'a> {
+    fn new(file: &'a mut fs::File) -> Self {
+        StagingWriter {
+            buf: BufWriter::with_capacity(1 << 16, file),
+            deferred: None,
+        }
+    }
+
+    /// Flush the buffer, reporting any error deferred by `deref_mut`.
+    fn finish(mut self) -> io::Result<()> {
+        match self.deferred.take() {
+            Some(e) => Err(e),
+            None => self.buf.flush(),
+        }
+    }
+}
+
+impl Write for StagingWriter<'_> {
+    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+        self.buf.write(data)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.buf.flush()
+    }
+}
+
+impl Deref for StagingWriter<'_> {
+    type Target = fs::File;
+
+    fn deref(&self) -> &fs::File {
+        self.buf.get_ref()
+    }
+}
+
+impl DerefMut for StagingWriter<'_> {
+    fn deref_mut(&mut self) -> &mut fs::File {
+        if let Err(e) = self.buf.flush() {
+            self.deferred.get_or_insert(e);
+        }
+        self.buf.get_mut()
+    }
+}
+
 /// The storage operations every persistence path goes through — the
 /// supervisor's VFS seam. `atomic_write`, checkpoint run directories and
 /// the service registry call these instead of `std::fs`, so one
@@ -573,15 +631,15 @@ pub trait StorageOps: Send + Sync {
     /// Fault rules match on the target path.
     fn create(&self, target: &Path, tmp: &Path) -> io::Result<fs::File>;
 
-    /// Run the caller's writer over the staging file. The writer runs
-    /// at most once. A torn-write fault truncates the result and
-    /// reports success — the protocol then publishes damage that a
-    /// reader's fingerprint check must catch.
+    /// Run the caller's writer over the staging file, buffered, and
+    /// flush it. The writer runs at most once. A torn-write fault
+    /// truncates the result and reports success — the protocol then
+    /// publishes damage that a reader's fingerprint check must catch.
     fn write(
         &self,
         target: &Path,
         file: &mut fs::File,
-        writer: &mut dyn FnMut(&mut fs::File) -> io::Result<()>,
+        writer: &mut dyn FnMut(&mut StagingWriter<'_>) -> io::Result<()>,
     ) -> io::Result<()>;
 
     /// Fsync the staging file for `target`. A lost-fsync fault reports
@@ -613,10 +671,12 @@ impl StorageOps for Storage {
         &self,
         target: &Path,
         file: &mut fs::File,
-        writer: &mut dyn FnMut(&mut fs::File) -> io::Result<()>,
+        writer: &mut dyn FnMut(&mut StagingWriter<'_>) -> io::Result<()>,
     ) -> io::Result<()> {
         let action = self.decide(StorageOp::Write, target)?;
-        writer(file)?;
+        let mut staged = StagingWriter::new(file);
+        writer(&mut staged)?;
+        staged.finish()?;
         if let Action::Torn(keep_bytes) = action {
             // The bytes past `keep_bytes` never reach the disk, but the
             // writer is told everything succeeded.
@@ -714,7 +774,6 @@ impl fmt::Display for StorageFaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
 
     fn scratch(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(

@@ -44,8 +44,8 @@ pub use atomic::{
 pub use audit::{AuditReport, AuditViolation, DatasetFacts};
 pub use checkpoint::{Manifest, RunDir, FORMAT_VERSION};
 pub use failpoint::{
-    ambient_storage, install_ambient_storage, FaultKind, FaultRule, Storage, StorageFaultPlan,
-    StorageOp, StorageOps,
+    ambient_storage, install_ambient_storage, FaultKind, FaultRule, StagingWriter, Storage,
+    StorageFaultPlan, StorageOp, StorageOps,
 };
 pub use fingerprint::{fingerprint_config, fnv1a64};
 pub use watchdog::{HeartbeatSample, StallReport, WatchdogConfig};

@@ -575,8 +575,7 @@ pub fn write_segment(
 
     let mut payload_fnv = FNV_OFFSET;
     atomic_write_with_in(storage, path, |f| {
-        let mut w = io::BufWriter::new(f);
-        w.write_all(&header)?;
+        f.write_all(&header)?;
         payload_fnv = FNV_OFFSET;
         for g in 0..groups {
             let lo = g * GROUP_ROWS;
@@ -591,15 +590,15 @@ pub fn write_segment(
             head[4..].copy_from_slice(&u32::try_from(hi - lo).expect("rows fit u32").to_le_bytes());
             payload_fnv = fnv_extend(payload_fnv, &head);
             payload_fnv = fnv_extend(payload_fnv, &body);
-            w.write_all(&head)?;
-            w.write_all(&body)?;
+            f.write_all(&head)?;
+            f.write_all(&body)?;
         }
         let mut footer = Vec::with_capacity(FOOTER_LEN);
         footer.extend_from_slice(&payload_fnv.to_le_bytes());
         footer.extend_from_slice(&(rows as u64).to_le_bytes());
         footer.extend_from_slice(&SEGMENT_TAIL);
-        w.write_all(&footer)?;
-        w.flush()
+        f.write_all(&footer)?;
+        Ok(())
     })?;
 
     Ok(SegmentMeta {
