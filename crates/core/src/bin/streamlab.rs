@@ -55,11 +55,11 @@
 //!                                        block only, `openmetrics` adds a
 //!                                        clearly-flagged wall-clock
 //!                                        section; default json)
-//!          --trace-events FILE          (run only: write the structured
-//!                                        event trace as JSONL)
 //!          --trace-out FILE             (run only: write a Chrome Trace
-//!                                        Event file — deterministic
-//!                                        sim-time span lanes per session
+//!                                        Event file — one deterministic
+//!                                        sim-time lane per session with
+//!                                        its spans and events, a fleet
+//!                                        lane for session-less events,
 //!                                        plus wall-clock engine lanes —
 //!                                        loadable in Perfetto or
 //!                                        chrome://tracing)
@@ -137,7 +137,6 @@ struct Opts {
     resume: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
     metrics_format: MetricsFormat,
-    trace_events: Option<PathBuf>,
     trace_out: Option<PathBuf>,
     summary_shards: usize,
     faults: Option<String>,
@@ -181,7 +180,6 @@ fn parse(args: &[String]) -> Result<Opts, String> {
         resume: None,
         metrics_out: None,
         metrics_format: MetricsFormat::Json,
-        trace_events: None,
         trace_out: None,
         summary_shards: 8,
         faults: None,
@@ -301,11 +299,6 @@ fn parse(args: &[String]) -> Result<Opts, String> {
                         }
                     };
             }
-            "--trace-events" => {
-                opts.trace_events = Some(PathBuf::from(
-                    it.next().ok_or("--trace-events needs a value")?,
-                ));
-            }
             "--trace-out" => {
                 opts.trace_out = Some(PathBuf::from(it.next().ok_or("--trace-out needs a value")?));
             }
@@ -401,6 +394,7 @@ fn parse(args: &[String]) -> Result<Opts, String> {
             "--follow" => {
                 opts.follow = true;
             }
+            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
             other => opts.rest.push(other.to_owned()),
         }
     }
@@ -465,8 +459,8 @@ fn usage() -> &'static str {
      [--scale tiny|small|default] [--sessions N] [--seed N] [--out DIR] [--days N] [--seeds N] \
      [--threads N] \
      [--shard-deadline SECS] [--spill-dir DIR] [--spill-threshold ROWS] [--audit] [--resume DIR] \
-     [--metrics-out FILE] [--metrics-format json|openmetrics] [--trace-events FILE] \
-     [--trace-out FILE] [--summary-shards N] [--faults FILE] [--storage-faults FILE] \
+     [--metrics-out FILE] [--metrics-format json|openmetrics] [--trace-out FILE] \
+     [--summary-shards N] [--faults FILE] [--storage-faults FILE] \
      [--state DIR] [--addr HOST:PORT] [--workers N] [--queue-depth N] \
      [--max-job-sessions N] [--max-inflight-sessions N] [--max-job-threads N] \
      [--chaos-kill-after N] [--priority N] [--label S] [--retries N] [--wait] [--follow]\n\
@@ -544,8 +538,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         cfg.traffic.sessions, cfg.catalog.videos, cfg.fleet.servers, opts.seed
     );
     let obs = ObsOptions {
-        trace: opts.trace_events.is_some(),
-        spans: opts.trace_out.is_some(),
+        sim_trace: opts.trace_out.is_some(),
     };
     let out = Simulation::new(cfg)
         .run_observed(obs)
@@ -583,18 +576,12 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         };
         atomic_write(path, body.as_bytes()).map_err(at(path))?;
     }
-    if let Some(path) = &opts.trace_events {
-        let lines = out.trace_lines.as_deref().unwrap_or(&[]);
-        let mut body = lines.join("\n");
-        if !body.is_empty() {
-            body.push('\n');
-        }
-        atomic_write(path, body.as_bytes()).map_err(at(path))?;
-    }
     if let Some(path) = &opts.trace_out {
-        let spans = out.sim_spans.as_deref().unwrap_or(&[]);
-        let body = streamlab::obs::render_chrome_trace(spans, out.wall_trace.as_ref());
-        atomic_write(path, body.as_bytes()).map_err(at(path))?;
+        let records = out.sim_trace.as_deref().unwrap_or(&[]);
+        atomic_write_with(path, |f| {
+            streamlab::obs::write_chrome_trace(records, out.wall_trace.as_ref(), f)
+        })
+        .map_err(at(path))?;
     }
 
     let report = full_report(&out);
@@ -634,9 +621,6 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
     );
     if let Some(path) = &opts.metrics_out {
         eprintln!("wrote deterministic metrics to {}", path.display());
-    }
-    if let Some(path) = &opts.trace_events {
-        eprintln!("wrote event trace to {}", path.display());
     }
     if let Some(path) = &opts.trace_out {
         eprintln!(

@@ -24,11 +24,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use streamlab_cdn::{CdnFleet, FleetShard, PrefetchPolicy};
 use streamlab_obs::{
-    canonicalize, Meta, MetricsRecorder, NoopSubscriber, ProgressCell, RunMetrics, RunProfile,
-    SchedulerCounters, ShardMerge, ShardProfile, ShardStalled, SimMetrics, SimSpan, Subscriber,
-    WallCounter, WallInstant, WallSpan, WallTrace,
+    canonicalize, MetricsRecorder, NoopSubscriber, ProgressCell, RunMetrics, RunProfile,
+    SchedulerCounters, ShardProfile, SimMetrics, SimRecord, Subscriber, WallCounter, WallInstant,
+    WallSpan, WallTrace,
 };
-use streamlab_sim::{EventQueue, RngStream, SimTime};
+use streamlab_sim::{EventQueue, RngStream};
 use streamlab_supervisor::watchdog::{self, WatchdogConfig};
 use streamlab_supervisor::{ambient_storage, Storage};
 use streamlab_telemetry::{Dataset, SessionStream, SpillSpec, TelemetrySink};
@@ -210,12 +210,10 @@ pub struct ServerReport {
 /// Observability options for [`Simulation::run_observed`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ObsOptions {
-    /// Also buffer a structured JSONL event trace (one line per event).
-    pub trace: bool,
-    /// Also buffer deterministic sim-time spans (`session → chunk →
-    /// {cache_lookup, net_transfer, render}`) for `--trace-out`
-    /// ([`RunOutput::sim_spans`]).
-    pub spans: bool,
+    /// Also buffer the deterministic sim-time trace for `--trace-out`
+    /// ([`RunOutput::sim_trace`]): spans (`session → chunk →
+    /// {cache_lookup, net_transfer, render}`) and every simulation event.
+    pub sim_trace: bool,
 }
 
 /// Everything a run produces.
@@ -234,12 +232,10 @@ pub struct RunOutput {
     /// wall-clock run profile. `None` unless the run was started with
     /// [`Simulation::run_observed`].
     pub metrics: Option<RunMetrics>,
-    /// The structured JSONL event trace (`None` unless requested via
-    /// [`ObsOptions::trace`]).
-    pub trace_lines: Option<Vec<String>>,
-    /// Canonicalized sim-time spans (`None` unless requested via
-    /// [`ObsOptions::spans`]). Byte-identical at any `--threads`.
-    pub sim_spans: Option<Vec<SimSpan>>,
+    /// The canonicalized sim-time trace — spans and events, lane by lane
+    /// (`None` unless requested via [`ObsOptions::sim_trace`]). Renders
+    /// byte-identically at any `--threads`.
+    pub sim_trace: Option<Vec<SimRecord>>,
     /// Wall-clock engine trace — run phases, per-worker shard job lanes,
     /// steal instants, watchdog heartbeat counters. `None` unless the run
     /// was observed; inherently non-deterministic.
@@ -426,8 +422,8 @@ impl Simulation {
 
     /// Run with self-telemetry: [`RunOutput::metrics`] carries the
     /// deterministic [`SimMetrics`] plus the wall-clock [`RunProfile`],
-    /// and, with [`ObsOptions::trace`], [`RunOutput::trace_lines`] holds
-    /// the structured JSONL event trace.
+    /// and, with [`ObsOptions::sim_trace`], [`RunOutput::sim_trace`]
+    /// holds the sim-time trace.
     pub fn run_observed(self, obs: ObsOptions) -> Result<RunOutput, SimError> {
         match self.run_inner(None, Some(obs), false)? {
             InnerOutput::Full(o) => Ok(*o),
@@ -490,7 +486,7 @@ impl Simulation {
         // [`NoopSubscriber`], which monomorphizes the probes away.
         let (engine, recorder) = match obs {
             Some(o) => {
-                let new_recorder = || MetricsRecorder::with_options(o.trace, o.spans);
+                let new_recorder = || MetricsRecorder::new(o.sim_trace);
                 let (engine, subs) = run_sharded(
                     cfg.threads,
                     &mut fleet,
@@ -559,16 +555,14 @@ impl Simulation {
         let servers = server_reports(&fleet);
         let merge_ms = merge_started.elapsed().as_secs_f64() * 1.0e3;
 
-        let (metrics, trace_lines, sim_spans, wall_trace) = match recorder {
+        let (metrics, sim_trace, wall_trace) = match recorder {
             Some(mut rec) => {
-                let want_trace = obs.map(|o| o.trace).unwrap_or(false);
-                let want_spans = obs.map(|o| o.spans).unwrap_or(false);
-                let sim_spans = want_spans.then(|| {
-                    let mut spans = rec.take_spans();
-                    canonicalize(&mut spans);
-                    spans
+                let sim_trace = obs.is_some_and(|o| o.sim_trace).then(|| {
+                    let mut records = rec.take_trace();
+                    canonicalize(&mut records);
+                    records
                 });
-                let (mut sim, lines) = rec.into_parts();
+                let mut sim = rec.into_metrics();
                 fold_cache_churn(&mut sim, &fleet);
                 let events = sim.events_processed.get();
                 let profile = RunProfile {
@@ -586,14 +580,9 @@ impl Simulation {
                     shards: shard_profiles,
                 };
                 let wall = build_wall_trace(&profile, &engine_wall);
-                (
-                    Some(RunMetrics { sim, profile }),
-                    if want_trace { Some(lines) } else { None },
-                    sim_spans,
-                    Some(wall),
-                )
+                (Some(RunMetrics { sim, profile }), sim_trace, Some(wall))
             }
-            None => (None, None, None, None),
+            None => (None, None, None),
         };
 
         Ok(match stream {
@@ -610,8 +599,7 @@ impl Simulation {
                 servers,
                 catalog,
                 metrics,
-                trace_lines,
-                sim_spans,
+                sim_trace,
                 wall_trace,
                 shard_errors,
                 segments,
@@ -1030,8 +1018,8 @@ fn fold_cache_churn(sim: &mut SimMetrics, fleet: &CdnFleet) {
 }
 
 /// Fold the shard recorders into `rec` in canonical shard order — the
-/// commutative merges make [`SimMetrics`] threads-invariant — then append
-/// the engine-topology events, which never touch [`SimMetrics`].
+/// commutative merges make [`SimMetrics`] threads-invariant, and the
+/// trace records arrive in the order [`canonicalize`] expects.
 fn fold_recorders(
     mut rec: MetricsRecorder,
     subs: Vec<MetricsRecorder>,
@@ -1041,37 +1029,6 @@ fn fold_recorders(
         rec.absorb(sub);
     }
     rec.add_events_processed(engine.stats.events);
-    for p in &engine.shards {
-        rec.on_shard_merge(
-            &Meta::fleet(SimTime::ZERO),
-            &ShardMerge {
-                shard_index: p.shard_index,
-                pop_index: p.pop_index,
-                sessions: p.sessions,
-                events: p.events,
-            },
-        );
-    }
-    for e in &engine.errors {
-        if let ShardError::Stalled {
-            shard_index,
-            pop_index,
-            events,
-            sim_ns,
-            ..
-        } = e
-        {
-            rec.on_shard_stalled(
-                &Meta::fleet(SimTime::ZERO),
-                &ShardStalled {
-                    shard_index: *shard_index as u64,
-                    pop_index: *pop_index as u64,
-                    events: *events,
-                    sim_ns: *sim_ns,
-                },
-            );
-        }
-    }
     rec
 }
 
@@ -1623,7 +1580,7 @@ mod tests {
             }
         }
         let mut sink = TelemetrySink::new();
-        let mut rec = MetricsRecorder::with_options(false, false);
+        let mut rec = MetricsRecorder::new(false);
         let mut queue: EventQueue<usize> = EventQueue::with_capacity(runtimes.len());
         for (idx, rt) in runtimes.iter().enumerate() {
             queue.schedule(rt.spec.arrival, idx);
@@ -1643,7 +1600,7 @@ mod tests {
         }
         rec.add_events_processed(queue.popped());
         fleet.merge_shards(shards);
-        let (mut sim, _) = rec.into_parts();
+        let mut sim = rec.into_metrics();
         fold_cache_churn(&mut sim, &fleet);
         let dataset = Dataset::assemble([sink])
             .expect("oracle join")
@@ -1804,10 +1761,7 @@ mod tests {
         let mut cfg = SimulationConfig::tiny(11);
         cfg.threads = 2;
         let out = Simulation::new(cfg)
-            .run_observed(ObsOptions {
-                trace: true,
-                spans: false,
-            })
+            .run_observed(ObsOptions { sim_trace: true })
             .expect("observed run");
         let m = out.metrics.as_ref().expect("metrics present");
         // Every session starts, ends, and shows up in the raw dataset.
@@ -1822,13 +1776,24 @@ mod tests {
         assert_eq!(m.sim.chunks_served.get(), m.sim.serve_latency_ns.count());
         assert!(m.sim.frames_rendered.get() > 0);
         assert!(m.sim.segments_sent.get() > m.sim.retx_segments.get());
-        // The profile carries per-shard spans; trace is non-empty and
-        // each line is one JSON object.
+        // The profile carries per-shard spans; the trace holds one
+        // record per event, so its per-type counts match the counters.
         assert!(!m.profile.shards.is_empty());
-        let lines = out.trace_lines.as_ref().expect("trace requested");
-        assert!(lines.len() as u64 >= m.sim.chunks_served.get());
-        let first = serde::Value::parse_json(&lines[0]).expect("line parses");
-        assert!(first.get("at_ns").is_some());
+        let records = out.sim_trace.as_ref().expect("trace requested");
+        let count = |name: &str| {
+            records
+                .iter()
+                .filter(|r| matches!(r, SimRecord::Event(_, e) if e.name() == name))
+                .count() as u64
+        };
+        assert_eq!(count("ChunkServed"), m.sim.chunks_served.get());
+        assert_eq!(count("SessionStart"), m.sim.sessions_started.get());
+        assert_eq!(count("SessionEnd"), m.sim.sessions_ended.get());
+        assert_eq!(count("RtoTimeout"), m.sim.rto_timeouts.get());
+        assert_eq!(
+            count("CacheLookup"),
+            m.sim.chunks_served.get() + m.sim.manifest_requests.get()
+        );
         assert!(m.summary().contains("2 threads"));
     }
 
@@ -1854,7 +1819,7 @@ mod tests {
     fn unobserved_run_carries_no_metrics() {
         let out = run_tiny(12);
         assert!(out.metrics.is_none());
-        assert!(out.trace_lines.is_none());
+        assert!(out.sim_trace.is_none());
     }
 
     /// A scenario exercising every injection type at tiny scale: restarts

@@ -1,8 +1,9 @@
 //! End-to-end CLI coverage for the crash-safe supervisor layer: a
 //! SIGKILL-equivalent abort mid-sweep resumes to byte-identical output at
 //! any thread count, the shard watchdog turns a wedged shard into partial
-//! results instead of a hang, `--audit` verifies a finished run, and the
-//! removed `sweep --days` alias fails fast pointing at `--seeds`.
+//! results instead of a hang, `--audit` verifies a finished run, the
+//! removed `sweep --days` alias fails fast pointing at `--seeds`, and an
+//! unknown flag is an error.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -103,6 +104,32 @@ fn killed_sweep_resumes_to_byte_identical_output_at_any_thread_count() {
         let _ = fs::remove_dir_all(&dir_kill);
         let _ = fs::remove_dir_all(&dir_clean);
     }
+}
+
+#[test]
+fn unknown_flags_are_rejected_before_anything_runs() {
+    // `--trace-events` was removed in favour of `--trace-out`; an old
+    // command line must fail loudly rather than run without its trace.
+    let dir = scratch("unknown-flag");
+    let out = run(&[
+        "run",
+        "--scale",
+        "tiny",
+        "--seed",
+        "7",
+        "--out",
+        dir.to_str().unwrap(),
+        "--trace-events",
+        "x",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "an unknown flag exits 1");
+    let err = stderr_of(&out);
+    assert!(
+        err.contains("error: unknown flag '--trace-events'"),
+        "stderr should name the flag:\n{err}"
+    );
+    assert!(err.contains("usage:"), "stderr should show usage:\n{err}");
+    assert!(!dir.exists(), "a rejected run must not create its out dir");
 }
 
 #[test]

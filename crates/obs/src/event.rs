@@ -10,7 +10,7 @@
 //! clock, never a wall clock), so any metrics derived from them are
 //! deterministic functions of the seed.
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 use streamlab_sim::{SimDuration, SimTime};
 
 /// Context common to every event: when (sim-time) and, where applicable,
@@ -218,35 +218,54 @@ pub struct SessionAborted {
     pub reason: FailReason,
 }
 
-/// A fleet shard was cancelled by the run watchdog: its sim-time sat
-/// still past the configured deadline and the shard gave up at an
-/// event-pop boundary.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct ShardStalled {
-    /// Canonical shard index in the engine's shard order.
-    pub shard_index: u64,
-    /// PoP index the shard covered (shards are per server or per PoP,
-    /// so several shards may share a PoP).
-    pub pop_index: u64,
-    /// Events the shard had processed when it was declared stalled.
-    pub events: u64,
-    /// The sim-time (ns) the shard was stuck at.
-    pub sim_ns: u64,
+/// Declares [`AnyEvent`] over the event types listed.
+macro_rules! any_event {
+    ($($name:ident),* $(,)?) => {
+        /// Any one simulation event, as buffered for the sim-time trace:
+        /// one variant per event type, named after it.
+        #[derive(Debug, Clone, Copy)]
+        pub enum AnyEvent {
+            $(
+                #[doc = concat!("A [`", stringify!($name), "`] event.")]
+                $name($name),
+            )*
+        }
+
+        impl AnyEvent {
+            /// The event type's name (`"ChunkServed"`, ...).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(AnyEvent::$name(_) => stringify!($name),)*
+                }
+            }
+
+            /// The event's fields as a JSON object.
+            pub fn fields(&self) -> Value {
+                match self {
+                    $(AnyEvent::$name(e) => e.to_value(),)*
+                }
+            }
+        }
+    };
 }
 
-/// A fleet shard was merged back after its event loop drained.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct ShardMerge {
-    /// Canonical shard index in the engine's shard order.
-    pub shard_index: u64,
-    /// PoP index the shard covered (shards are per server or per PoP,
-    /// so several shards may share a PoP).
-    pub pop_index: u64,
-    /// Sessions the shard ran.
-    pub sessions: u64,
-    /// Events its event loop processed.
-    pub events: u64,
-}
+any_event!(
+    SessionStart,
+    SessionEnd,
+    CacheLookup,
+    RetryTimerFired,
+    Retransmit,
+    RtoTimeout,
+    CwndReset,
+    Stall,
+    ChunkRendered,
+    ChunkServed,
+    ServerRestarted,
+    RequestFailed,
+    Failover,
+    AbrEmergency,
+    SessionAborted,
+);
 
 /// Receives simulation events.
 ///
@@ -359,20 +378,6 @@ pub trait Subscriber {
         let _ = meta;
         let _ = event;
     }
-
-    /// A fleet shard merged back.
-    #[inline]
-    fn on_shard_merge(&mut self, meta: &Meta, event: &ShardMerge) {
-        let _ = meta;
-        let _ = event;
-    }
-
-    /// A fleet shard was cancelled by the run watchdog.
-    #[inline]
-    fn on_shard_stalled(&mut self, meta: &Meta, event: &ShardStalled) {
-        let _ = meta;
-        let _ = event;
-    }
 }
 
 /// The do-nothing subscriber: instrumented code driven with this compiles
@@ -426,15 +431,7 @@ mod tests {
     fn noop_subscriber_accepts_everything() {
         let mut sub = NoopSubscriber;
         let meta = Meta::fleet(SimTime::ZERO);
-        sub.on_shard_merge(
-            &meta,
-            &ShardMerge {
-                shard_index: 0,
-                pop_index: 0,
-                sessions: 1,
-                events: 2,
-            },
-        );
+        sub.on_server_restarted(&meta, &ServerRestarted { server: 3 });
         sub.on_stall(
             &meta,
             &Stall {
@@ -446,13 +443,14 @@ mod tests {
 
     #[test]
     fn events_serialize_for_tracing() {
-        let v = serde::Serialize::to_value(&CacheLookup {
+        let e = AnyEvent::CacheLookup(CacheLookup {
             tier: CacheTier::Disk,
             manifest: true,
             bytes: 8192,
         });
-        let text = v.to_json_string();
-        assert!(text.contains("\"Disk\""), "{text}");
-        assert!(text.contains("\"manifest\":true"), "{text}");
+        assert_eq!(e.name(), "CacheLookup");
+        let text = e.fields().to_json_string();
+        assert_eq!(text, r#"{"tier":"Disk","manifest":true,"bytes":8192}"#);
+        assert_eq!(AnyEvent::RtoTimeout(RtoTimeout {}).name(), "RtoTimeout");
     }
 }

@@ -24,15 +24,15 @@
 //!   and event-loop throughput. Wall-clock readings never appear anywhere
 //!   else.
 //! * [`recorder`] — [`MetricsRecorder`], the built-in subscriber that
-//!   folds events into [`SimMetrics`], optionally buffers a JSONL
-//!   structured trace and sim-time spans, and runs the localization pass
-//!   online.
-//! * [`span`] — deterministic sim-time [`SimSpan`]s (`session → chunk →
-//!   {cache_lookup, net_transfer, render}`), canonicalized so the stream
-//!   is byte-identical at any thread count.
+//!   folds events into [`SimMetrics`], optionally buffers the sim-time
+//!   trace, and runs the localization pass online.
+//! * [`span`] — the deterministic sim-time trace: [`SimRecord`]s, each a
+//!   [`SimSpan`] (`session → chunk → {cache_lookup, net_transfer,
+//!   render}`) or an event, canonicalized so the trace is byte-identical
+//!   at any thread count.
 //! * [`trace_writer`] — Chrome Trace Event Format export for
-//!   `--trace-out`: sim-time span lanes plus wall-clock [`WallTrace`]
-//!   engine lanes, loadable in Perfetto.
+//!   `--trace-out`: sim-time lanes (spans and events) plus wall-clock
+//!   [`WallTrace`] engine lanes, loadable in Perfetto.
 //! * [`diagnose`] — the paper's problem-localization taxonomy
 //!   ([`ProblemClass`]): every rebuffer, abort and session attributed to
 //!   the CDN server, the network path, the client download stack or the
@@ -64,16 +64,17 @@ pub use diagnose::{
     classify_abort, classify_session, ChunkBreakdown, ProblemClass, RebufferShares, SessionLens,
 };
 pub use event::{
-    AbrEmergency, CacheLookup, CacheTier, ChunkRendered, ChunkServed, CwndReset, FailReason,
-    Failover, Meta, NoopSubscriber, RequestFailed, ResetReason, Retransmit, RetryTimerFired,
-    RtoTimeout, ServerRestarted, SessionAborted, SessionEnd, SessionStart, ShardMerge,
-    ShardStalled, Stall, Subscriber,
+    AbrEmergency, AnyEvent, CacheLookup, CacheTier, ChunkRendered, ChunkServed, CwndReset,
+    FailReason, Failover, Meta, NoopSubscriber, RequestFailed, ResetReason, Retransmit,
+    RetryTimerFired, RtoTimeout, ServerRestarted, SessionAborted, SessionEnd, SessionStart, Stall,
+    Subscriber,
 };
 pub use heartbeat::{ProgressCell, ProgressSnapshot, ShardState};
 pub use metrics::{Counter, Gauge, LogLinearHistogram, SimMetrics};
 pub use profile::{RunMetrics, RunProfile, SchedulerCounters, ShardProfile};
 pub use recorder::MetricsRecorder;
-pub use span::{canonicalize, SimSpan, SpanKind};
+pub use span::{canonicalize, SimRecord, SimSpan, SpanKind};
 pub use trace_writer::{
-    render_chrome_trace, WallCounter, WallInstant, WallSpan, WallTrace, SIM_PID, WALL_PID,
+    render_chrome_trace, write_chrome_trace, WallCounter, WallInstant, WallSpan, WallTrace,
+    FLEET_TID, SIM_PID, WALL_PID,
 };

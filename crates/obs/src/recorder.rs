@@ -1,17 +1,15 @@
 //! The built-in subscriber: folds events into [`SimMetrics`], optionally
-//! buffers a structured JSONL trace and sim-time [`SimSpan`]s, and runs
+//! buffers the sim-time trace ([`SimRecord`]s: spans and events), and runs
 //! the per-session problem-localization pass online.
 
 use crate::diagnose::{classify_abort, ChunkBreakdown, ProblemClass, SessionLens};
 use crate::event::{
-    AbrEmergency, CacheLookup, CacheTier, ChunkRendered, ChunkServed, CwndReset, FailReason,
-    Failover, Meta, RequestFailed, ResetReason, Retransmit, RetryTimerFired, RtoTimeout,
-    ServerRestarted, SessionAborted, SessionEnd, SessionStart, ShardMerge, ShardStalled, Stall,
-    Subscriber,
+    AbrEmergency, AnyEvent, CacheLookup, CacheTier, ChunkRendered, ChunkServed, CwndReset,
+    FailReason, Failover, Meta, RequestFailed, ResetReason, Retransmit, RetryTimerFired,
+    RtoTimeout, ServerRestarted, SessionAborted, SessionEnd, SessionStart, Stall, Subscriber,
 };
 use crate::metrics::SimMetrics;
-use crate::span::{SimSpan, SpanKind};
-use serde::{Map, Serialize, Value};
+use crate::span::{SimRecord, SimSpan, SpanKind};
 use std::collections::HashMap;
 
 /// A per-shard metrics collector.
@@ -19,15 +17,14 @@ use std::collections::HashMap;
 /// Each shard's event loop owns one recorder; after the run the
 /// orchestrator merges them **in canonical shard order**. Counter and
 /// histogram merges are commutative, so [`SimMetrics`] is byte-identical
-/// at any thread count; trace lines are concatenated in the same
-/// canonical order — shard by shard, not in global time order — so the
-/// trace promises "non-empty and parseable", not byte-identity with
-/// different shardings (see DESIGN.md §10).
+/// at any thread count; trace records are concatenated in the same
+/// canonical order and [`crate::span::canonicalize`]d before export
+/// (see DESIGN.md §10).
 #[derive(Debug, Default)]
 pub struct MetricsRecorder {
     metrics: SimMetrics,
-    trace: Option<Vec<String>>,
-    spans: Option<Vec<SimSpan>>,
+    /// Raw sim-time trace records; `None` when the trace is off.
+    trace: Option<Vec<SimRecord>>,
     /// Localization state for in-flight sessions; drained as sessions
     /// end. Only per-key operations (never iteration), so hash order
     /// cannot leak into the deterministic counters.
@@ -35,21 +32,13 @@ pub struct MetricsRecorder {
 }
 
 impl MetricsRecorder {
-    /// A recorder; with `trace` set, every event is also buffered as one
-    /// JSONL line. Span collection is off ([`MetricsRecorder::with_options`]).
+    /// A recorder; with `trace` set, every span and event is also
+    /// buffered as a [`SimRecord`] for `--trace-out`. Metrics and
+    /// localization always run.
     pub fn new(trace: bool) -> Self {
-        Self::with_options(trace, false)
-    }
-
-    /// A recorder with both optional buffers chosen: `trace` buffers the
-    /// flat JSONL event log, `spans` buffers raw sim-time [`SimSpan`]s
-    /// for `--trace-out`. Metrics and localization always run.
-    pub fn with_options(trace: bool, spans: bool) -> Self {
         MetricsRecorder {
-            metrics: SimMetrics::default(),
-            trace: if trace { Some(Vec::new()) } else { None },
-            spans: if spans { Some(Vec::new()) } else { None },
-            lens: HashMap::new(),
+            trace: trace.then(Vec::new),
+            ..MetricsRecorder::default()
         }
     }
 
@@ -58,34 +47,19 @@ impl MetricsRecorder {
         &self.metrics
     }
 
-    /// Buffered trace lines (empty when tracing is off).
-    pub fn trace_lines(&self) -> &[String] {
-        self.trace.as_deref().unwrap_or(&[])
-    }
-
-    /// Raw (not yet canonicalized) sim-time spans collected so far.
-    pub fn sim_spans(&self) -> &[SimSpan] {
-        self.spans.as_deref().unwrap_or(&[])
-    }
-
-    /// Drain the buffered spans (raw shard order; run
+    /// Drain the buffered trace records (raw shard order; run
     /// [`crate::span::canonicalize`] before export).
-    pub fn take_spans(&mut self) -> Vec<SimSpan> {
-        self.spans.take().unwrap_or_default()
+    pub fn take_trace(&mut self) -> Vec<SimRecord> {
+        self.trace.take().unwrap_or_default()
     }
 
-    /// Fold another recorder in: metrics merge additively, trace lines
-    /// and spans append. Call in canonical shard order.
+    /// Fold another recorder in: metrics merge additively, trace records
+    /// append. Call in canonical shard order.
     pub fn absorb(&mut self, other: MetricsRecorder) {
         self.metrics.merge(&other.metrics);
         match (&mut self.trace, other.trace) {
             (Some(mine), Some(theirs)) => mine.extend(theirs),
             (None, Some(theirs)) => self.trace = Some(theirs),
-            _ => {}
-        }
-        match (&mut self.spans, other.spans) {
-            (Some(mine), Some(theirs)) => mine.extend(theirs),
-            (None, Some(theirs)) => self.spans = Some(theirs),
             _ => {}
         }
         // A cancelled shard can leave in-flight sessions behind; carry
@@ -94,9 +68,9 @@ impl MetricsRecorder {
         self.lens.extend(other.lens);
     }
 
-    /// Decompose into metrics and trace lines.
-    pub fn into_parts(self) -> (SimMetrics, Vec<String>) {
-        (self.metrics, self.trace.unwrap_or_default())
+    /// The collected metrics, consuming the recorder.
+    pub fn into_metrics(self) -> SimMetrics {
+        self.metrics
     }
 
     /// Record engine-level throughput that arrives as plain numbers
@@ -105,21 +79,9 @@ impl MetricsRecorder {
         self.metrics.events_processed.add(n);
     }
 
-    fn emit<E: Serialize>(&mut self, meta: &Meta, name: &str, event: &E) {
+    fn emit(&mut self, meta: &Meta, event: AnyEvent) {
         if let Some(buf) = &mut self.trace {
-            let mut line = Map::new();
-            line.insert("at_ns".into(), meta.at.as_nanos().to_value());
-            line.insert(
-                "session".into(),
-                match meta.session {
-                    Some(s) => s.to_value(),
-                    None => Value::Null,
-                },
-            );
-            let mut body = Map::new();
-            body.insert(name.into(), event.to_value());
-            line.insert("event".into(), Value::Object(body));
-            buf.push(Value::Object(line).to_json_string());
+            buf.push(SimRecord::Event(*meta, event));
         }
     }
 }
@@ -131,7 +93,7 @@ impl Subscriber for MetricsRecorder {
             let lens = self.lens.entry(sid).or_default();
             lens.start_ns = meta.at.as_nanos();
         }
-        self.emit(meta, "SessionStart", event);
+        self.emit(meta, AnyEvent::SessionStart(*event));
     }
 
     fn on_session_end(&mut self, meta: &Meta, event: &SessionEnd) {
@@ -145,8 +107,8 @@ impl Subscriber for MetricsRecorder {
                 ProblemClass::Rendering => self.metrics.loc_sessions_rendering.inc(),
                 ProblemClass::Healthy => self.metrics.loc_sessions_healthy.inc(),
             }
-            if let Some(buf) = &mut self.spans {
-                buf.push(SimSpan {
+            if let Some(buf) = &mut self.trace {
+                buf.push(SimRecord::Span(SimSpan {
                     id: 0,
                     parent: None,
                     session: sid,
@@ -154,10 +116,10 @@ impl Subscriber for MetricsRecorder {
                     kind: SpanKind::Session,
                     start_ns: lens.start_ns,
                     end_ns: meta.at.as_nanos().max(lens.start_ns),
-                });
+                }));
             }
         }
-        self.emit(meta, "SessionEnd", event);
+        self.emit(meta, AnyEvent::SessionEnd(*event));
     }
 
     fn on_cache_lookup(&mut self, meta: &Meta, event: &CacheLookup) {
@@ -181,22 +143,22 @@ impl Subscriber for MetricsRecorder {
             CacheTier::Disk => self.metrics.bytes_disk.add(event.bytes),
             CacheTier::Miss => self.metrics.bytes_miss.add(event.bytes),
         }
-        self.emit(meta, "CacheLookup", event);
+        self.emit(meta, AnyEvent::CacheLookup(*event));
     }
 
     fn on_retry_timer_fired(&mut self, meta: &Meta, event: &RetryTimerFired) {
         self.metrics.retry_timer_fires.inc();
-        self.emit(meta, "RetryTimerFired", event);
+        self.emit(meta, AnyEvent::RetryTimerFired(*event));
     }
 
     fn on_retransmit(&mut self, meta: &Meta, event: &Retransmit) {
         self.metrics.retx_segments.add(u64::from(event.segments));
-        self.emit(meta, "Retransmit", event);
+        self.emit(meta, AnyEvent::Retransmit(*event));
     }
 
     fn on_rto_timeout(&mut self, meta: &Meta, event: &RtoTimeout) {
         self.metrics.rto_timeouts.inc();
-        self.emit(meta, "RtoTimeout", event);
+        self.emit(meta, AnyEvent::RtoTimeout(*event));
     }
 
     fn on_cwnd_reset(&mut self, meta: &Meta, event: &CwndReset) {
@@ -204,7 +166,7 @@ impl Subscriber for MetricsRecorder {
             ResetReason::Loss => self.metrics.cwnd_resets_loss.inc(),
             ResetReason::Idle => self.metrics.cwnd_resets_idle.inc(),
         }
-        self.emit(meta, "CwndReset", event);
+        self.emit(meta, AnyEvent::CwndReset(*event));
     }
 
     fn on_stall(&mut self, meta: &Meta, event: &Stall) {
@@ -223,7 +185,7 @@ impl Subscriber for MetricsRecorder {
                 _ => self.metrics.loc_rebuffers_server.add(count),
             }
         }
-        self.emit(meta, "Stall", event);
+        self.emit(meta, AnyEvent::Stall(*event));
     }
 
     fn on_chunk_rendered(&mut self, meta: &Meta, event: &ChunkRendered) {
@@ -234,7 +196,7 @@ impl Subscriber for MetricsRecorder {
             lens.frames += u64::from(event.frames);
             lens.dropped += u64::from(event.dropped);
         }
-        self.emit(meta, "ChunkRendered", event);
+        self.emit(meta, AnyEvent::ChunkRendered(*event));
     }
 
     fn on_chunk_served(&mut self, meta: &Meta, event: &ChunkServed) {
@@ -252,7 +214,7 @@ impl Subscriber for MetricsRecorder {
             lens.chunks += 1;
             lens.last =
                 ChunkBreakdown::from_phases(total, event.serve.as_nanos(), event.stack.as_nanos());
-            if let Some(buf) = &mut self.spans {
+            if let Some(buf) = &mut self.trace {
                 let at = meta.at.as_nanos();
                 let end = at + total;
                 // Phase boundaries, clamped into the chunk interval so
@@ -262,7 +224,7 @@ impl Subscriber for MetricsRecorder {
                 let serve_end = (serve_start + event.serve.as_nanos()).min(end);
                 let net_end = (at + event.net_end.as_nanos()).clamp(serve_end, end);
                 let mut push = |kind: SpanKind, start_ns: u64, end_ns: u64| {
-                    buf.push(SimSpan {
+                    buf.push(SimRecord::Span(SimSpan {
                         id: 0,
                         parent: None,
                         session: sid,
@@ -270,7 +232,7 @@ impl Subscriber for MetricsRecorder {
                         kind,
                         start_ns,
                         end_ns,
-                    });
+                    }));
                 };
                 push(SpanKind::Chunk, at, end);
                 push(SpanKind::CacheLookup, serve_start, serve_end);
@@ -278,12 +240,12 @@ impl Subscriber for MetricsRecorder {
                 push(SpanKind::Render, net_end, end);
             }
         }
-        self.emit(meta, "ChunkServed", event);
+        self.emit(meta, AnyEvent::ChunkServed(*event));
     }
 
     fn on_server_restarted(&mut self, meta: &Meta, event: &ServerRestarted) {
         self.metrics.server_restarts.inc();
-        self.emit(meta, "ServerRestarted", event);
+        self.emit(meta, AnyEvent::ServerRestarted(*event));
     }
 
     fn on_request_failed(&mut self, meta: &Meta, event: &RequestFailed) {
@@ -295,17 +257,17 @@ impl Subscriber for MetricsRecorder {
         self.metrics
             .retry_backoff_ns
             .record(event.retry_delay.as_nanos());
-        self.emit(meta, "RequestFailed", event);
+        self.emit(meta, AnyEvent::RequestFailed(*event));
     }
 
     fn on_failover(&mut self, meta: &Meta, event: &Failover) {
         self.metrics.failovers.inc();
-        self.emit(meta, "Failover", event);
+        self.emit(meta, AnyEvent::Failover(*event));
     }
 
     fn on_abr_emergency(&mut self, meta: &Meta, event: &AbrEmergency) {
         self.metrics.abr_emergency_switches.inc();
-        self.emit(meta, "AbrEmergency", event);
+        self.emit(meta, AnyEvent::AbrEmergency(*event));
     }
 
     fn on_session_aborted(&mut self, meta: &Meta, event: &SessionAborted) {
@@ -318,24 +280,7 @@ impl Subscriber for MetricsRecorder {
         if let Some(sid) = meta.session {
             self.lens.entry(sid).or_default().abort = Some(class);
         }
-        self.emit(meta, "SessionAborted", event);
-    }
-
-    fn on_shard_merge(&mut self, meta: &Meta, event: &ShardMerge) {
-        // Shard merges are an engine-topology fact, not a simulation
-        // fact: counting them into SimMetrics would break the
-        // threads-invariance contract (the shard count depends on the
-        // fault scenario, and a global-queue run has none).
-        // They appear in the trace and in RunProfile only.
-        self.emit(meta, "ShardMerge", event);
-    }
-
-    fn on_shard_stalled(&mut self, meta: &Meta, event: &ShardStalled) {
-        // Same reasoning as shard merges: a stall is a harness-topology
-        // fact (wall-clock watchdog), so it must not perturb SimMetrics.
-        // It surfaces in the trace here and as ShardError::Stalled in the
-        // run output.
-        self.emit(meta, "ShardStalled", event);
+        self.emit(meta, AnyEvent::SessionAborted(*event));
     }
 }
 
@@ -393,39 +338,40 @@ mod tests {
         assert_eq!(m.retry_timer_fires.get(), 1);
         assert_eq!(m.chunks_served.get(), 1);
         assert_eq!(m.serve_latency_ns.count(), 1);
-        assert!(r.trace_lines().is_empty());
+        assert!(r.take_trace().is_empty());
     }
 
     #[test]
-    fn trace_lines_are_json_objects() {
+    fn trace_records_carry_each_event_on_its_lane() {
         let mut r = MetricsRecorder::new(true);
-        r.on_stall(
-            &meta(),
-            &Stall {
-                count: 2,
-                duration: SimDuration::from_millis(500),
-            },
-        );
-        r.on_shard_merge(
-            &Meta::fleet(SimTime::ZERO),
-            &ShardMerge {
-                shard_index: 7,
-                pop_index: 4,
-                sessions: 10,
-                events: 99,
-            },
-        );
-        let lines = r.trace_lines();
-        assert_eq!(lines.len(), 2);
-        for l in lines {
-            let v = Value::parse_json(l).expect("valid json");
-            assert!(v.get("at_ns").is_some());
-            assert!(v.get("event").is_some());
+        let stall = Stall {
+            count: 2,
+            duration: SimDuration::from_millis(500),
+        };
+        r.on_stall(&meta(), &stall);
+        let fleet = Meta::fleet(SimTime::from_millis(20));
+        r.on_server_restarted(&fleet, &ServerRestarted { server: 5 });
+        let records = r.take_trace();
+        assert_eq!(records.len(), 2);
+        match &records[0] {
+            SimRecord::Event(m, e) => {
+                assert_eq!(*m, meta());
+                assert_eq!(e.name(), "Stall");
+                assert_eq!(
+                    e.fields().to_json_string(),
+                    serde::Serialize::to_value(&stall).to_json_string()
+                );
+            }
+            other => panic!("expected an event record, got {other:?}"),
         }
-        assert!(lines[0].contains("Stall"));
-        assert!(lines[1].contains("ShardMerge"));
-        // Fleet-level event has a null session.
-        assert!(lines[1].contains("\"session\":null"));
+        // A session-less event goes on the fleet lane.
+        assert_eq!(records[1].lane(), None);
+        assert!(matches!(
+            records[1],
+            SimRecord::Event(m, AnyEvent::ServerRestarted(ServerRestarted { server: 5 })) if m == fleet
+        ));
+        // The buffer is drained.
+        assert!(r.take_trace().is_empty());
     }
 
     fn served(serve_ms: u64, stack_ms: u64, fb_ms: u64, dl_ms: u64) -> ChunkServed {
@@ -508,7 +454,7 @@ mod tests {
 
     #[test]
     fn spans_cover_the_session_tree_when_enabled() {
-        let mut r = MetricsRecorder::with_options(false, true);
+        let mut r = MetricsRecorder::new(true);
         let start = Meta::session(SimTime::from_millis(100), 6);
         r.on_session_start(&start, &SessionStart { server: 0 });
         r.on_chunk_served(&start, &served(10, 5, 30, 70));
@@ -516,10 +462,16 @@ mod tests {
             &Meta::session(SimTime::from_millis(200), 6),
             &SessionEnd { chunks: 1 },
         );
-        let mut spans = r.take_spans();
-        // 1 session + chunk + 3 phases.
+        let mut records = r.take_trace();
+        // 1 session + chunk + 3 phases, and the three events.
+        assert_eq!(records.len(), 8);
+        crate::span::canonicalize(&mut records);
+        let spans: Vec<SimSpan> = records
+            .iter()
+            .filter_map(SimRecord::span)
+            .copied()
+            .collect();
         assert_eq!(spans.len(), 5);
-        crate::span::canonicalize(&mut spans);
         assert_eq!(spans[0].kind, crate::span::SpanKind::Session);
         assert_eq!(spans[0].start_ns, SimTime::from_millis(100).as_nanos());
         // Phases nest inside the chunk, the chunk inside the session.
@@ -527,10 +479,19 @@ mod tests {
             assert!(s.start_ns >= spans[0].start_ns && s.end_ns <= spans[0].end_ns);
             assert!(s.end_ns >= s.start_ns);
         }
-        // Spans off by default: nothing buffered.
-        let mut plain = MetricsRecorder::new(true);
+        // The events follow the spans on the session's lane, in time order.
+        let names: Vec<&str> = records[5..]
+            .iter()
+            .map(|r| match r {
+                SimRecord::Event(_, e) => e.name(),
+                SimRecord::Span(_) => "span",
+            })
+            .collect();
+        assert_eq!(names, vec!["SessionStart", "ChunkServed", "SessionEnd"]);
+        // Trace off: nothing buffered.
+        let mut plain = MetricsRecorder::new(false);
         plain.on_chunk_served(&start, &served(1, 1, 5, 5));
-        assert!(plain.sim_spans().is_empty());
+        assert!(plain.take_trace().is_empty());
     }
 
     #[test]
@@ -543,6 +504,15 @@ mod tests {
         a.absorb(b);
         assert_eq!(a.metrics().rto_timeouts.get(), 2);
         assert_eq!(a.metrics().retx_segments.get(), 3);
-        assert_eq!(a.trace_lines().len(), 3);
+        // Records append in absorb order: a's first, then b's.
+        let names: Vec<&str> = a
+            .take_trace()
+            .iter()
+            .map(|r| match r {
+                SimRecord::Event(_, e) => e.name(),
+                SimRecord::Span(_) => "span",
+            })
+            .collect();
+        assert_eq!(names, vec!["RtoTimeout", "RtoTimeout", "Retransmit"]);
     }
 }

@@ -1,23 +1,20 @@
 //! Dual-clock tracing contracts.
 //!
-//! Sim-time side: the canonicalized span stream (`session → chunk →
-//! {cache_lookup, net_transfer, render}`) is **byte-identical at any
-//! `--threads` value**, faulted or not, and the localization counters
-//! partition their parent counters exactly. Wall-clock side: the Chrome
-//! trace the two are rendered into is structurally valid — every `B` has
-//! a matching `E` on the same lane with non-decreasing timestamps, and
-//! the engine process carries worker lanes when the run was sharded.
+//! Sim-time side: the rendered sim half of the trace (`session → chunk →
+//! {cache_lookup, net_transfer, render}` spans plus one record per
+//! simulation event) is **byte-identical at any `--threads` value**,
+//! faulted or not, and the localization counters partition their parent
+//! counters exactly. Wall-clock side: the Chrome trace the two are
+//! rendered into is structurally valid — every `B` has a matching `E` on
+//! the same lane with non-decreasing timestamps, event records sit on
+//! their lanes in time order, and the engine process carries worker lanes.
 
 use serde_json::Value;
-use streamlab::obs::span::to_jsonl;
-use streamlab::obs::{SimSpan, SpanKind};
+use streamlab::obs::{render_chrome_trace, SimRecord, SimSpan, SpanKind, FLEET_TID};
 use streamlab::{ObsOptions, RunOutput, Simulation, SimulationConfig};
 
-/// Spans plus the trace-relevant knobs, but no JSONL event buffer.
-const SPAN_OPTS: ObsOptions = ObsOptions {
-    trace: false,
-    spans: true,
-};
+/// The sim-time trace on; nothing else beyond the metrics.
+const TRACE_OPTS: ObsOptions = ObsOptions { sim_trace: true };
 
 fn tiny_cfg(seed: u64, threads: usize) -> SimulationConfig {
     let mut cfg = SimulationConfig::tiny(seed);
@@ -37,47 +34,56 @@ fn faulted_cfg(seed: u64, threads: usize) -> SimulationConfig {
     cfg
 }
 
-fn run_spans(cfg: SimulationConfig) -> RunOutput {
-    Simulation::new(cfg).run_observed(SPAN_OPTS).expect("run")
+fn run_traced(cfg: SimulationConfig) -> RunOutput {
+    Simulation::new(cfg).run_observed(TRACE_OPTS).expect("run")
 }
 
-fn span_jsonl(cfg: SimulationConfig) -> String {
-    to_jsonl(
-        run_spans(cfg)
-            .sim_spans
-            .as_deref()
-            .expect("spans requested"),
-    )
+/// The rendered sim half of the trace: spans and events, no wall clock.
+fn sim_half(cfg: SimulationConfig) -> String {
+    let out = run_traced(cfg);
+    render_chrome_trace(out.sim_trace.as_deref().expect("trace requested"), None)
+}
+
+fn assert_sim_half_is_thread_invariant(cfg: fn(u64, usize) -> SimulationConfig) -> String {
+    let trace_1 = sim_half(cfg(2016, 1));
+    assert!(
+        trace_1.contains(r#""ph":"B""#) && trace_1.contains(r#""ph":"i""#),
+        "a tiny run must produce spans and events"
+    );
+    for threads in [2, 8] {
+        let trace_n = sim_half(cfg(2016, threads));
+        assert!(
+            trace_1 == trace_n,
+            "sim-time trace diverges between threads=1 and threads={threads}"
+        );
+    }
+    trace_1
 }
 
 #[test]
 fn span_stream_is_byte_identical_across_thread_counts() {
-    let jsonl_1 = span_jsonl(tiny_cfg(2016, 1));
-    assert!(!jsonl_1.is_empty(), "a tiny run must produce spans");
-    for threads in [2, 8] {
-        let jsonl_n = span_jsonl(tiny_cfg(2016, threads));
-        assert!(
-            jsonl_1 == jsonl_n,
-            "span stream diverges between threads=1 and threads={threads}"
-        );
-    }
+    assert_sim_half_is_thread_invariant(tiny_cfg);
 }
 
 #[test]
 fn faulted_span_stream_is_byte_identical_across_thread_counts() {
-    let jsonl_1 = span_jsonl(faulted_cfg(2016, 1));
-    for threads in [2, 8] {
-        let jsonl_n = span_jsonl(faulted_cfg(2016, threads));
-        assert!(
-            jsonl_1 == jsonl_n,
-            "faulted span stream diverges between threads=1 and threads={threads}"
-        );
-    }
+    let trace = assert_sim_half_is_thread_invariant(faulted_cfg);
+    // The scenario's restarts are session-less: they exercise the fleet lane.
+    assert!(
+        trace.contains(r#""name":"ServerRestarted","cat":"event","ph":"i""#),
+        "faulted trace must carry the server restarts"
+    );
+    assert!(trace.contains(&format!("\"tid\":{FLEET_TID}")));
 }
 
 #[test]
 fn span_tree_is_well_formed() {
-    let spans = run_spans(tiny_cfg(2016, 4)).sim_spans.expect("spans");
+    let records = run_traced(tiny_cfg(2016, 4)).sim_trace.expect("trace");
+    let spans: Vec<SimSpan> = records
+        .iter()
+        .filter_map(SimRecord::span)
+        .copied()
+        .collect();
     let mut kinds_seen = [false; 5];
     for (i, s) in spans.iter().enumerate() {
         assert_eq!(s.id, i as u64 + 1, "ids are 1-based canonical positions");
@@ -110,8 +116,8 @@ fn span_tree_is_well_formed() {
 
 /// Parse the rendered Chrome trace into its event list.
 fn trace_events(out: &RunOutput) -> Vec<Value> {
-    let spans = out.sim_spans.as_deref().expect("spans");
-    let text = streamlab::obs::render_chrome_trace(spans, out.wall_trace.as_ref());
+    let records = out.sim_trace.as_deref().expect("trace");
+    let text = render_chrome_trace(records, out.wall_trace.as_ref());
     let v = Value::parse_json(&text).expect("trace is valid JSON");
     v.get("traceEvents")
         .and_then(|t| t.as_array())
@@ -121,15 +127,17 @@ fn trace_events(out: &RunOutput) -> Vec<Value> {
 
 #[test]
 fn chrome_trace_pairs_match_and_timestamps_are_monotone_per_lane() {
-    let out = run_spans(faulted_cfg(2016, 4));
+    let out = run_traced(faulted_cfg(2016, 4));
     let events = trace_events(&out);
 
-    // Per sim lane (pid 1, tid = session): a valid B/E stack with
-    // non-decreasing timestamps.
+    // Per sim lane (pid 1, tid = session or the fleet lane): a valid B/E
+    // stack, with event instants between, and non-decreasing timestamps
+    // over every record.
     use std::collections::HashMap;
     let mut depth: HashMap<u64, i64> = HashMap::new();
     let mut last_ts: HashMap<u64, u64> = HashMap::new();
     let mut begins = 0usize;
+    let mut instants: HashMap<String, u64> = HashMap::new();
     for e in &events {
         let ph = e.get("ph").and_then(|p| p.as_str()).expect("ph");
         let pid = e.get("pid").and_then(|p| p.as_u64()).expect("pid");
@@ -154,20 +162,42 @@ fn chrome_trace_pairs_match_and_timestamps_are_monotone_per_lane() {
                 *d -= 1;
                 assert!(*d >= 0, "lane {tid} has E without matching B");
             }
+            "i" => {
+                let name = e.get("name").and_then(|n| n.as_str()).expect("name");
+                let at_ns = e
+                    .get("args")
+                    .and_then(|a| a.get("at_ns"))
+                    .and_then(|a| a.as_u64())
+                    .expect("event records carry their exact sim time");
+                assert_eq!(at_ns / 1000, ts, "{name} ts is its sim time in µs");
+                *instants.entry(name.to_owned()).or_insert(0) += 1;
+            }
             other => panic!("unexpected sim ph {other}"),
         }
     }
     assert!(depth.values().all(|&d| d == 0), "unclosed B events");
+    let records = out.sim_trace.as_deref().unwrap();
     assert_eq!(
         begins,
-        out.sim_spans.as_deref().unwrap().len(),
+        records.iter().filter_map(SimRecord::span).count(),
         "every span opens exactly once"
     );
+    assert_eq!(
+        instants.values().sum::<u64>() as usize,
+        records.len() - begins,
+        "every event is one record"
+    );
+    let m = &out.metrics.as_ref().expect("metrics").sim;
+    let count = |name: &str| instants.get(name).copied().unwrap_or(0);
+    assert_eq!(count("ChunkServed"), m.chunks_served.get());
+    assert_eq!(count("SessionStart"), m.sessions_started.get());
+    assert_eq!(count("ServerRestarted"), m.server_restarts.get());
+    assert!(m.server_restarts.get() > 0, "scenario must restart servers");
 }
 
 #[test]
 fn chrome_trace_carries_both_clock_processes() {
-    let out = run_spans(tiny_cfg(2016, 2));
+    let out = run_traced(tiny_cfg(2016, 2));
     let events = trace_events(&out);
     let names: Vec<String> = events
         .iter()
